@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.evaluation.figures import figure_optimizer_gains
+from repro.plan import ExecutionPlan
 
 #: Row-sweep reduction floor on the LUT-chain-heavy pipelines.
 MIN_SWEEP_REDUCTION = 0.30
@@ -45,7 +46,7 @@ def _functional_spot_check() -> dict:
     session = program.session
     session.backend = "functional"
     plain = session.run(program.inputs)
-    optimized = session.run(program.inputs, optimize=True)
+    optimized = session.run(program.inputs, plan=ExecutionPlan(optimize=True))
     identical = all(
         np.array_equal(plain.outputs[name], optimized.outputs[name])
         for name in plain.outputs

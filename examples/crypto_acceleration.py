@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.baselines import CPU_XEON_5118, ProcessorBaseline
 from repro.core import PlutoConfig, PlutoDesign, PlutoEngine
+from repro.plan import ExecutionPlan
 from repro.utils.units import format_time
 from repro.workloads import CrcWorkload, Salsa20Workload, VmpcWorkload
 
@@ -36,7 +37,7 @@ def run_optimized_pipelines(engine: PlutoEngine) -> None:
         print(f"({program.description})")
         plain = program.session.run(program.inputs, engine=engine)
         optimized = program.session.run(
-            program.inputs, engine=engine, optimize=True
+            program.inputs, engine=engine, plan=ExecutionPlan(optimize=True)
         )
         for output in plain.outputs:
             assert np.array_equal(

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.baselines import CPU_XEON_5118, GPU_RTX_3080TI, ProcessorBaseline
 from repro.core import PlutoConfig, PlutoDesign, PlutoEngine
+from repro.plan import ExecutionPlan
 from repro.utils.units import format_energy, format_time
 from repro.workloads import ColorGrading, ImageBinarization
 
@@ -61,7 +62,9 @@ def run_optimized_pipeline(engine: PlutoEngine) -> None:
     print("--- optimized pipeline (grade -> threshold -> invert) ---")
     program = workload_program("image", elements=16384)
     plain = program.session.run(program.inputs, engine=engine)
-    optimized = program.session.run(program.inputs, engine=engine, optimize=True)
+    optimized = program.session.run(
+        program.inputs, engine=engine, plan=ExecutionPlan(optimize=True)
+    )
     for name in plain.outputs:
         assert np.array_equal(plain.outputs[name], optimized.outputs[name]), name
     print(optimized.optimization.summary())

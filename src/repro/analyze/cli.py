@@ -31,14 +31,13 @@ def _lint_one(
     name: str, elements: int, seed: int, *, optimize: bool, verbose: bool
 ) -> int:
     """Verify one workload program; return the number of errors found."""
-    from repro.opt.pipeline import optimize_cached
     from repro.workloads.programs import workload_program
 
     program = workload_program(name, elements=elements, seed=seed)
     calls = list(program.session.calls)
     stage = "recorded"
     if optimize:
-        calls = list(optimize_cached(calls).calls)
+        calls = list(program.session.optimize().calls)
         stage = "optimized"
     report = verify_program(calls, subject=f"{name} ({stage})")
     status = "clean" if report.clean else (

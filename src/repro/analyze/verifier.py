@@ -769,16 +769,9 @@ def verify_cached(
     unhashable"), so the hot path builds the key once per run.
     """
     if key is _KEY_UNSET:
-        from repro.compiler.lowering import program_structure_key
+        from repro.api.session import hashable_structure_key
 
-        try:
-            key = program_structure_key(list(calls))
-            # The key tuple builds fine around unhashable parameter
-            # values and only fails at hash time — probe before touching
-            # the memo.
-            hash(key)
-        except TypeError:
-            key = None
+        key = hashable_structure_key(calls)
     if key is None:
         _VERIFY_MEMO.note_uncached()
         return verify_program(calls, subject=subject)

@@ -28,7 +28,7 @@ import numpy as np
 from repro.api.handles import ApiCall, PlutoVector
 from repro.api.luts import BITWISE_OPERATIONS, add_lut, bitwise_lut, multiply_lut
 from repro.core.lut import LookupTable
-from repro.errors import ConfigurationError, ReproError, VerificationError
+from repro.errors import ConfigurationError, VerificationError
 from repro.obs.trace import activate, deactivate, new_trace, span_of, stage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -42,9 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.engine import PlutoEngine
     from repro.obs.trace import RequestTrace
     from repro.opt.pipeline import OptimizedProgram
-    from repro.opt.report import OptimizationReport
     from repro.plan.execution_plan import ExecutionPlan
     from repro.plan.planner import PlannerReport
+    from repro.plan.prepare import PreparedProgram
 
 __all__ = [
     "PlutoSession",
@@ -79,12 +79,15 @@ _KEY_UNSET: object = object()
 def hashable_structure_key(calls: Sequence[ApiCall]) -> "tuple | None":
     """The program structure key, or ``None`` when it is not hashable.
 
-    The execution front doors compute this once per run and thread it
-    through both the verifier memo and the compile cache, so neither
-    layer rebuilds the key on the hot path.
+    The one hashability probe of the stack:
+    :func:`repro.plan.prepare.prepare` computes it once per request and
+    threads it through the planner, optimizer, verifier and compile
+    memos, so no layer rebuilds the key on the hot path.
     """
+    from repro.compiler.lowering import program_structure_key as _key
+
     try:
-        key = program_structure_key(calls)
+        key = _key(calls)
         # The key tuple builds fine around unhashable parameter values
         # and only fails at hash time — probe before handing it out.
         hash(key)
@@ -105,18 +108,19 @@ def compile_cached_with_key(
     uncached compile — and a ``None`` key — when the structure key is
     not hashable (e.g. a call carries list-valued parameters).  Callers
     that already hold the key (``None`` meaning "known unhashable") pass
-    it to skip the recomputation.
+    it to skip the recomputation.  Only actual compilations open a
+    ``compile`` span.
     """
     from repro.compiler.lowering import PlutoCompiler
 
     if key is _KEY_UNSET:
         key = hashable_structure_key(calls)
-    if key is None:
-        return PlutoCompiler().compile(list(calls)), None
-    compiled = _PROGRAM_CACHE.get(key)
+    compiled = None if key is None else _PROGRAM_CACHE.get(key)
     if compiled is None:
-        compiled = PlutoCompiler().compile(list(calls))
-        _PROGRAM_CACHE[key] = compiled
+        with stage("compile"):
+            compiled = PlutoCompiler().compile(list(calls))
+        if key is not None:
+            _PROGRAM_CACHE[key] = compiled
     return compiled, key
 
 
@@ -294,30 +298,6 @@ class BatchResult:
     def lut_queries(self) -> int:
         """LUT queries executed across the whole batch."""
         return sum(result.lut_queries for result in self.results)
-
-
-#: Sentinel distinguishing "legacy keyword not passed" from any real
-#: value (``None`` is meaningful for ``run_hierarchical(shards=)``).
-_LEGACY_UNSET: object = object()
-
-
-@dataclass
-class _PreparedExecution:
-    """Everything the ``run*`` entry points share, resolved once.
-
-    The product of :meth:`PlutoSession._prepare_execution`: the concrete
-    plan (auto plans resolved through the cost-based planner), the
-    post-optimization call list, the optimizer/planner reports, and —
-    for unsharded routes — the verified compiled program with its
-    structure key.
-    """
-
-    plan: "ExecutionPlan"
-    calls: "list[ApiCall]"
-    optimization: "OptimizationReport | None"
-    planner: "PlannerReport | None"
-    compiled: "CompiledProgram | None"
-    structure_key: "tuple | None"
 
 
 @dataclass
@@ -509,190 +489,21 @@ class PlutoSession:
 
         return optimize_cached(self.calls)
 
-    def _resolve_optimize(
-        self, optimize: bool | None, engine: "PlutoEngine | None"
-    ) -> bool:
-        """Per-call ``optimize=`` wins; ``None`` defers to the engine config."""
-        if optimize is not None:
-            return bool(optimize)
-        return engine is not None and engine.config.optimize
-
-    def _calls_for_run(
-        self, optimize: bool | None, engine: "PlutoEngine | None"
-    ) -> "tuple[list[ApiCall], OptimizationReport | None]":
-        if not self._resolve_optimize(optimize, engine):
-            return list(self.calls), None
-        with stage("optimize"):
-            optimized = self.optimize()
-        return list(optimized.calls), optimized.report
-
-    @staticmethod
-    def _verify_for_run(
-        calls: "Sequence[ApiCall]",
-        engine: "PlutoEngine | None",
-        key: "tuple | None | object" = _KEY_UNSET,
-        compiled: "CompiledProgram | None" = None,
-    ) -> None:
-        """Verify what is about to execute, per the engine's verify mode.
-
-        Runs over the *post-optimization* call list (the program that
-        actually executes) and raises
-        :class:`~repro.errors.VerificationError` with the diagnostics on
-        any error-severity finding.  Memoized on the program structure
-        key (``key`` forwards an already-computed one); when the caller
-        holds the cached :class:`CompiledProgram`, a prior clean verdict
-        is remembered on the object itself, so warm verified serving
-        costs one attribute check per run.
-        """
-        if engine is None:
-            return
-        from repro.analyze.verifier import verification_enabled, verify_cached
-
-        if not verification_enabled(engine.config.verify):
-            return
-        if compiled is not None and compiled.verification_ok:
-            return
-        with stage("verify"):
-            if key is _KEY_UNSET:
-                # No precomputed key: let the verifier build its own.
-                verify_cached(calls).raise_if_errors()
-            else:
-                verify_cached(calls, key=key).raise_if_errors()
-        if compiled is not None:
-            compiled.verification_ok = True
-
-    def _compile_verified(
-        self, calls: "list[ApiCall]", engine: "PlutoEngine | None"
-    ) -> "tuple[CompiledProgram, tuple | None]":
-        """Compile (cached) then verify, per the engine's verify mode.
-
-        Compilation comes first so a prior clean verdict rides the
-        cached program object (one attribute check per warm run).  When
-        the compiler itself rejects the program and verification is on,
-        the verifier's structured diagnostics replace the raw compiler
-        error; the original error re-raises if the verifier finds
-        nothing (or verification is off).
-        """
-        structure_key = hashable_structure_key(calls)
-        warm = structure_key is not None and structure_key in _PROGRAM_CACHE
-        try:
-            with stage("compile", cached=warm):
-                compiled, structure_key = compile_cached_with_key(
-                    calls, structure_key
-                )
-        except ReproError:
-            self._verify_for_run(calls, engine, key=structure_key)
-            raise
-        self._verify_for_run(
-            calls, engine, key=structure_key, compiled=compiled
-        )
-        return compiled, structure_key
-
-    def _controller(self, engine: "PlutoEngine | None", *, jit: bool = True):
-        from repro.controller.executor import PlutoController
-
-        return PlutoController(engine, backend=self.backend, jit=jit)
-
-    def _resolve_plan_argument(
+    def _prepare(
         self,
+        engine: "PlutoEngine | None",
         plan: "ExecutionPlan | str | None",
-        engine: "PlutoEngine | None",
-        *,
-        entry: str,
-        hierarchical: bool,
-        shards: object = _LEGACY_UNSET,
-        optimize: object = _LEGACY_UNSET,
-    ) -> "ExecutionPlan":
-        """One ``ExecutionPlan`` from ``plan=`` plus the deprecated knobs.
-
-        The legacy ``shards=`` / ``optimize=`` keywords still work as
-        :class:`DeprecationWarning` shims that build the equivalent
-        explicit plan; combining them with ``plan=`` is rejected.  With
-        neither given, the engine's ``PlutoConfig(plan=...)`` default
-        applies.
-        """
-        from dataclasses import replace
-
-        from repro.plan.execution_plan import ExecutionPlan, resolve_plan
-
-        legacy: dict[str, object] = {}
-        if shards is not _LEGACY_UNSET:
-            legacy["shards"] = shards
-        if optimize is not _LEGACY_UNSET:
-            legacy["optimize"] = optimize
-        if legacy:
-            if plan is not None:
-                raise ConfigurationError(
-                    f"{entry}() got both plan= and the deprecated "
-                    f"{sorted(legacy)} keyword(s); pass only plan="
-                )
-            names = ", ".join(f"{name}=" for name in sorted(legacy))
-            warnings.warn(
-                f"{entry}({names}) is deprecated; pass "
-                "plan=ExecutionPlan(...) (or plan='auto') instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return ExecutionPlan(
-                shards=legacy.get("shards"),  # type: ignore[arg-type]
-                hierarchical=hierarchical,
-                optimize=legacy.get("optimize"),  # type: ignore[arg-type]
-            )
-        if plan is None and engine is not None:
-            plan = engine.config.plan
-        resolved = resolve_plan(plan)
-        if hierarchical and not resolved.is_auto and not resolved.hierarchical:
-            resolved = replace(resolved, hierarchical=True)
-        return resolved
-
-    def _prepare_execution(
-        self,
-        plan: "ExecutionPlan",
-        engine: "PlutoEngine | None",
         *,
         modes: tuple[str, ...],
-    ) -> _PreparedExecution:
-        """The shared ``run*`` prologue: plan -> optimize -> verify -> compile.
+    ) -> "PreparedProgram":
+        """The shared preparation path, with this session's program and backend.
 
-        Auto plans resolve through the cost-based planner
-        (:func:`repro.plan.planner.plan_program`, memoized on the
-        program structure key) into a concrete plan first; the program
-        is then optimized per the plan, verified per the engine's verify
-        mode, and — on the unsharded route — compiled through the
-        structure-keyed cache.
+        Verification follows the engine's ``PlutoConfig(verify=...)``
+        mode (off without an engine).
         """
-        from repro.backend.base import resolve_backend
+        from repro.plan.prepare import prepare
 
-        planner_report: "PlannerReport | None" = None
-        if plan.is_auto:
-            from repro.plan.planner import plan_program
-
-            with stage("plan") as plan_span:
-                planned = plan_program(
-                    self.calls,
-                    engine,
-                    request=plan,
-                    modes=modes,
-                    supports_batched=resolve_backend(
-                        self.backend
-                    ).supports_batched,
-                )
-                plan, planner_report = planned.plan, planned.report
-                plan_span.set(cached=planner_report.cached)
-        calls, report = self._calls_for_run(plan.optimize, engine)
-        if plan.hierarchical or plan.effective_shards > 1:
-            self._verify_for_run(calls, engine)
-            compiled, structure_key = None, None
-        else:
-            compiled, structure_key = self._compile_verified(calls, engine)
-        return _PreparedExecution(
-            plan=plan,
-            calls=calls,
-            optimization=report,
-            planner=planner_report,
-            compiled=compiled,
-            structure_key=structure_key,
-        )
+        return prepare(self.calls, engine, plan, backend=self.backend, modes=modes)
 
     @staticmethod
     def _finish_trace(trace: "RequestTrace | None", result: "ExecutionResult") -> None:
@@ -710,35 +521,12 @@ class PlutoSession:
             )
         result.request_trace = trace
 
-    @staticmethod
-    def _attach_reports(
-        result: "ExecutionResult", prepared: _PreparedExecution
-    ) -> "ExecutionResult":
-        result.optimization = prepared.optimization
-        result.execution_plan = prepared.plan
-        if prepared.planner is not None:
-            result.planner = prepared.planner.with_measured(result.latency_ns)
-        return result
-
-    @staticmethod
-    def _attach_batch_reports(
-        result: BatchResult, prepared: _PreparedExecution
-    ) -> BatchResult:
-        result.execution_plan = prepared.plan
-        if prepared.planner is not None:
-            result.planner = prepared.planner.with_measured(
-                result.total_latency_ns
-            )
-        return result
-
     def run(
         self,
         inputs: Mapping[str, np.ndarray],
         *,
         engine: "PlutoEngine | None" = None,
         plan: "ExecutionPlan | str | None" = None,
-        shards: object = _LEGACY_UNSET,
-        optimize: object = _LEGACY_UNSET,
     ) -> "ExecutionResult | ShardedExecutionResult":
         """Compile (cached) and execute this program on the session backend.
 
@@ -768,56 +556,19 @@ class PlutoSession:
         before compilation, with the
         :class:`~repro.opt.report.OptimizationReport` on
         ``result.optimization``.
-
-        The ``shards=`` / ``optimize=`` keywords are deprecated shims
-        that build the equivalent explicit plan (with a
-        ``DeprecationWarning``).
         """
-        resolved = self._resolve_plan_argument(
-            plan,
-            engine,
-            entry="run",
-            hierarchical=False,
-            shards=shards,
-            optimize=optimize,
-        )
+        from repro.plan.prepare import ALL_MODES, Executors, execute
+
         trace = new_trace("session.run")
         token = activate(trace)
         try:
-            prepared = self._prepare_execution(
-                resolved, engine, modes=("single", "banks", "hierarchy")
-            )
-            chosen = prepared.plan
-            jit = chosen.tier != "interpreted"
+            prepared = self._prepare(engine, plan, modes=ALL_MODES)
             with span_of(trace, "execute"):
-                if chosen.hierarchical:
-                    from repro.controller.hierarchy import HierarchicalDispatcher
-
-                    result = HierarchicalDispatcher(
-                        engine,
-                        backend=self.backend,
-                        jit=jit,
-                        channels=chosen.channels,
-                        ranks=chosen.ranks,
-                    ).execute(prepared.calls, inputs, shards=chosen.shards)
-                elif chosen.effective_shards > 1:
-                    from repro.controller.dispatch import ParallelDispatcher
-
-                    result = ParallelDispatcher(
-                        engine, backend=self.backend, jit=jit
-                    ).execute(
-                        prepared.calls, inputs, shards=chosen.effective_shards
-                    )
-                else:
-                    result = self._controller(engine, jit=jit).execute(
-                        prepared.compiled,
-                        dict(inputs),
-                        structure_key=prepared.structure_key,
-                    )
+                result = execute(prepared, inputs, Executors(engine))
         finally:
             deactivate(token)
         self._finish_trace(trace, result)
-        return self._attach_reports(result, prepared)
+        return result
 
     def run_batch(
         self,
@@ -826,12 +577,11 @@ class PlutoSession:
         engine: "PlutoEngine | None" = None,
         parallel: bool = False,
         plan: "ExecutionPlan | str | None" = None,
-        optimize: object = _LEGACY_UNSET,
     ) -> BatchResult:
         """Execute this program once per input set in ``batch``.
 
-        The program is compiled once and the controller (and therefore the
-        backend with its cached LUT arrays) is reused across the whole
+        The program is prepared once and the controller (and therefore
+        the backend with its cached LUT arrays) is reused across the whole
         batch.  With ``parallel=True`` the jobs are placed round-robin
         across the module's banks and the batch's ``total_latency_ns``
         becomes the scheduler-derived makespan of the merged command
@@ -840,76 +590,70 @@ class PlutoSession:
         ``plan`` accepts an :class:`~repro.plan.ExecutionPlan` or
         ``"auto"`` exactly as in :meth:`run`, restricted to unsharded
         plans — each job is one whole program; per-job sharding goes
-        through :meth:`run`.  The deprecated ``optimize=`` keyword
-        builds the equivalent plan with a ``DeprecationWarning``.
+        through :meth:`run`.
         """
-        resolved = self._resolve_plan_argument(
-            plan, engine, entry="run_batch", hierarchical=False, optimize=optimize
-        )
+        from repro.plan.prepare import Executors, execute
+
         trace = new_trace("session.run_batch")
         token = activate(trace)
         try:
-            prepared = self._prepare_execution(resolved, engine, modes=("single",))
-            chosen = prepared.plan
-            if chosen.hierarchical or chosen.effective_shards > 1:
+            prepared = self._prepare(engine, plan, modes=("single",))
+            if prepared.sharded:
                 raise ConfigurationError(
                     "run_batch executes each job as one unsharded program; "
                     "sharded/hierarchical plans go through run()"
                 )
-            compiled, structure_key = prepared.compiled, prepared.structure_key
-            controller = self._controller(
-                engine, jit=chosen.tier != "interpreted"
-            )
+            executors = Executors(engine)
+            makespan = None
             if not parallel:
                 with span_of(trace, "execute") as span:
                     results = [
-                        controller.execute(
-                            compiled, dict(inputs), structure_key=structure_key
-                        )
-                        for inputs in batch
+                        execute(prepared, inputs, executors) for inputs in batch
                     ]
                     span.set(jobs=len(results))
-                batch_result = BatchResult(results=results, request_trace=trace)
-                return self._attach_batch_reports(batch_result, prepared)
-            from repro.controller.dispatch import merged_makespan_ns
+            else:
+                from repro.controller.dispatch import merged_makespan_ns
 
-            jobs = list(batch)
-            num_banks = controller.engine.geometry.banks
-            if len(jobs) > num_banks:
-                # Placement clamps to the available banks: jobs beyond the
-                # bank count wrap round-robin and run back to back in their
-                # bank, which the merged makespan reflects.  Warn so callers
-                # expecting one bank per job notice the serialization.
-                warnings.warn(
-                    f"run_batch(parallel=True) got {len(jobs)} jobs for a "
-                    f"module with {num_banks} banks; jobs wrap round-robin "
-                    "and serialize within each bank",
-                    stacklevel=2,
-                )
-            with span_of(trace, "execute") as span:
-                results = [
-                    controller.execute(
-                        compiled,
-                        dict(inputs),
-                        bank=index % num_banks,
-                        structure_key=structure_key,
+                jobs = list(batch)
+                num_banks = executors.engine.geometry.banks
+                if len(jobs) > num_banks:
+                    # Placement clamps to the available banks: jobs beyond
+                    # the bank count wrap round-robin and run back to back
+                    # in their bank, which the merged makespan reflects.
+                    # Warn so callers expecting one bank per job notice the
+                    # serialization.
+                    warnings.warn(
+                        f"run_batch(parallel=True) got {len(jobs)} jobs for a "
+                        f"module with {num_banks} banks; jobs wrap round-robin "
+                        "and serialize within each bank",
+                        stacklevel=2,
                     )
-                    for index, inputs in enumerate(jobs)
-                ]
-                span.set(jobs=len(results), parallel=True)
-            with span_of(trace, "schedule"):
-                makespan = merged_makespan_ns(
-                    [result.trace.commands for result in results],
-                    controller.engine,
-                )
+                with span_of(trace, "execute") as span:
+                    results = [
+                        execute(
+                            prepared, inputs, executors, bank=index % num_banks
+                        )
+                        for index, inputs in enumerate(jobs)
+                    ]
+                    span.set(jobs=len(results), parallel=True)
+                with span_of(trace, "schedule"):
+                    makespan = merged_makespan_ns(
+                        [result.trace.commands for result in results],
+                        executors.engine,
+                    )
         finally:
             deactivate(token)
-        return self._attach_batch_reports(
-            BatchResult(
-                results=results, makespan_ns=makespan, request_trace=trace
-            ),
-            prepared,
+        batch_result = BatchResult(
+            results=results,
+            makespan_ns=makespan,
+            execution_plan=prepared.plan,
+            request_trace=trace,
         )
+        if prepared.planner is not None:
+            batch_result.planner = prepared.planner.with_measured(
+                batch_result.total_latency_ns
+            )
+        return batch_result
 
     def run_hierarchical(
         self,
@@ -917,8 +661,6 @@ class PlutoSession:
         *,
         engine: "PlutoEngine | None" = None,
         plan: "ExecutionPlan | str | None" = None,
-        shards: object = _LEGACY_UNSET,
-        optimize: object = _LEGACY_UNSET,
     ) -> "HierarchicalExecutionResult":
         """Execute this program spread over the full DRAM hierarchy.
 
@@ -932,47 +674,31 @@ class PlutoSession:
         ``plan`` follows :meth:`run` but is forced hierarchical:
         explicit plans may narrow the placement
         (``ExecutionPlan(hierarchical=True, channels=..., ranks=...)``)
-        or pin the shard count, and ``"auto"`` searches hierarchical
-        candidates only.  The deprecated ``shards=`` / ``optimize=``
-        keywords build the equivalent plan with a
-        ``DeprecationWarning``; shards default to every bank in the
-        device.
+        or pin the shard count (by default one shard per bank in the
+        device), and ``"auto"`` searches hierarchical candidates only.
         """
-        from repro.controller.hierarchy import HierarchicalDispatcher
+        from dataclasses import replace
 
-        resolved = self._resolve_plan_argument(
-            plan,
-            engine,
-            entry="run_hierarchical",
-            hierarchical=True,
-            shards=shards,
-            optimize=optimize,
-        )
+        from repro.plan.prepare import Executors, execute, request_plan
+
+        resolved = request_plan(plan, engine)
+        if not resolved.is_auto and not resolved.hierarchical:
+            resolved = replace(resolved, hierarchical=True)
         trace = new_trace("session.run_hierarchical")
         token = activate(trace)
         try:
-            prepared = self._prepare_execution(
-                resolved, engine, modes=("hierarchy",)
-            )
-            chosen = prepared.plan
-            if not chosen.hierarchical:
+            prepared = self._prepare(engine, resolved, modes=("hierarchy",))
+            if not prepared.plan.hierarchical:
                 raise ConfigurationError(
                     "run_hierarchical needs a hierarchical plan; got "
-                    f"{chosen.label()!r}"
+                    f"{prepared.plan.label()!r}"
                 )
             with span_of(trace, "execute"):
-                result = HierarchicalDispatcher(
-                    engine,
-                    backend=self.backend,
-                    jit=chosen.tier != "interpreted",
-                    channels=chosen.channels,
-                    ranks=chosen.ranks,
-                ).execute(prepared.calls, inputs, shards=chosen.shards)
+                result = execute(prepared, inputs, Executors(engine))
         finally:
             deactivate(token)
         self._finish_trace(trace, result)
-        self._attach_reports(result, prepared)
-        return result
+        return result  # type: ignore[return-value]
 
     def serve(
         self,
@@ -981,9 +707,6 @@ class PlutoSession:
         max_queue: int = 64,
         max_batch: int = 16,
         plan: "ExecutionPlan | str | None" = None,
-        hierarchical: object = _LEGACY_UNSET,
-        shards: object = _LEGACY_UNSET,
-        optimize: object = _LEGACY_UNSET,
         verify: bool = True,
     ) -> "PlutoService":
         """An async serving frontend bound to this session's program.
@@ -994,10 +717,8 @@ class PlutoSession:
 
         ``plan`` is the service-wide execution plan (see :meth:`run`);
         ``"auto"`` plans each distinct request structure once through the
-        cost-based planner.  The deprecated ``hierarchical=`` /
-        ``shards=`` / ``optimize=`` keywords build the equivalent plan
-        with a ``DeprecationWarning``.  ``verify=True`` (the default)
-        rejects malformed request programs at submission with
+        cost-based planner.  ``verify=True`` (the default) rejects
+        malformed request programs at submission with
         :class:`~repro.errors.VerificationError` carrying the verifier's
         diagnostics.  See :mod:`repro.api.service`.
         """
@@ -1009,9 +730,6 @@ class PlutoSession:
             max_queue=max_queue,
             max_batch=max_batch,
             plan=plan,
-            hierarchical=hierarchical,
-            shards=shards,
-            optimize=optimize,
             verify=verify,
         )
 
@@ -1082,23 +800,17 @@ def execute_batch(
     process-wide program cache is keyed on program structure), and one
     controller per backend is shared across all jobs so LUT gather arrays
     are reused.  ``backend`` overrides every session's own selection when
-    given.
+    given.  Every job runs unoptimized and unverified on one bank,
+    whatever the engine's default plan, optimize and verify settings.
     """
-    from repro.controller.executor import PlutoController
+    from repro.plan.execution_plan import ExecutionPlan
+    from repro.plan.prepare import Executors, execute, prepare
 
-    controllers: dict[object, PlutoController] = {}
+    executors = Executors(engine)
+    single_bank = ExecutionPlan(optimize=False)
     results = []
     for session, inputs in jobs:
         selection = backend if backend is not None else session.backend
-        # Names share one controller per name; distinct backend instances
-        # each keep their own controller.
-        key = selection if isinstance(selection, str) else id(selection)
-        controller = controllers.get(key)
-        if controller is None:
-            controller = PlutoController(engine, backend=selection)
-            controllers[key] = controller
-        compiled, structure_key = compile_cached_with_key(session.calls)
-        results.append(
-            controller.execute(compiled, dict(inputs), structure_key=structure_key)
-        )
+        prepared = prepare(session.calls, engine, single_bank, backend=selection, verify=False)
+        results.append(execute(prepared, inputs, executors))
     return BatchResult(results=results)

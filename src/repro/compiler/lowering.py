@@ -36,10 +36,31 @@ from repro.isa.instructions import (
 from repro.isa.program import PlutoProgram
 from repro.isa.registers import RegisterFile, RowRegister, SubarrayRegister
 
-__all__ = ["CompiledProgram", "PlutoCompiler", "program_structure_key"]
+__all__ = ["CompiledProgram", "PlutoCompiler", "StructureKey", "program_structure_key"]
 
 
-def program_structure_key(calls: "list[ApiCall] | tuple[ApiCall, ...]") -> tuple:
+class StructureKey(tuple):
+    """A program structure key that computes its hash once.
+
+    One request looks its key up in several memos (planner, optimizer,
+    verifier, compiled programs, trace templates, compiled closures), and
+    a plain tuple rehashes every nested call on each lookup.  String
+    hashes are salted per process, so pickling drops the cached value.
+    """
+
+    _hash: int | None = None
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = self._hash = tuple.__hash__(self)
+        return value
+
+    def __reduce__(self) -> tuple:
+        return (StructureKey, (tuple(self),))
+
+
+def program_structure_key(calls: "list[ApiCall] | tuple[ApiCall, ...]") -> StructureKey:
     """A hashable key capturing everything compilation depends on.
 
     Two call lists with the same key lower to interchangeable
@@ -50,18 +71,17 @@ def program_structure_key(calls: "list[ApiCall] | tuple[ApiCall, ...]") -> tuple
     batched submissions.
     """
 
-    def _vector_key(vector: PlutoVector) -> tuple:
-        return (vector.name, vector.size, vector.bit_width)
-
-    return tuple(
-        (
-            call.operation,
-            tuple(_vector_key(vector) for vector in call.inputs),
-            _vector_key(call.output),
-            call.lut,
-            tuple(sorted(call.parameters.items())),
-        )
-        for call in calls
+    return StructureKey(
+        [
+            (
+                call.operation,
+                tuple([(vector.name, vector.size, vector.bit_width) for vector in call.inputs]),
+                (call.output.name, call.output.size, call.output.bit_width),
+                call.lut,
+                tuple(sorted(call.parameters.items())),
+            )
+            for call in calls
+        ]
     )
 
 

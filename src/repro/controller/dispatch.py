@@ -424,7 +424,7 @@ def execute_shard_plans(
     ``shards`` trips through the controller.  Outputs, traces, and
     per-shard results are identical to the per-shard loop.
     """
-    from repro.api.session import compile_cached, program_structure_key
+    from repro.api.session import compile_cached, compile_cached_with_key
 
     use_fused = controller.backend.supports_batched if fused is None else fused
     if use_fused and not controller.backend.supports_batched:
@@ -449,12 +449,7 @@ def execute_shard_plans(
     for plan in plans:
         groups.setdefault(plan.stop - plan.start, []).append(plan)
     for group in groups.values():
-        calls = list(group[0].calls)
-        compiled = compile_cached(calls)
-        try:
-            structure_key = program_structure_key(calls)
-        except TypeError:
-            structure_key = None
+        compiled, structure_key = compile_cached_with_key(group[0].calls)
         stacked = {
             name: np.stack([data[plan.start : plan.stop] for plan in group])
             for name, data in arrays.items()

@@ -140,7 +140,7 @@ class ExecutionResult:
     #: Name of the execution backend that produced the functional outputs.
     backend: str = "functional"
     #: Report of the pre-compilation program optimization, when one ran
-    #: (``PlutoSession.run(..., optimize=True)`` and friends).
+    #: (any front door running ``ExecutionPlan(optimize=True)``).
     optimization: "OptimizationReport | None" = None
     #: The concrete :class:`~repro.plan.execution_plan.ExecutionPlan`
     #: this execution ran under (set by the session front doors).

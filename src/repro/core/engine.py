@@ -68,9 +68,9 @@ class PlutoConfig:
 
     ``optimize`` makes every execution routed through an engine built
     from this configuration run the program optimizer
-    (:mod:`repro.opt`) before compilation by default; per-call
-    ``optimize=`` arguments on the session entry points still override
-    it either way.
+    (:mod:`repro.opt`) before compilation whenever the execution plan
+    leaves ``optimize`` unset; a plan that sets
+    ``ExecutionPlan(optimize=...)`` overrides it either way.
 
     ``verify`` runs the static verifier (:mod:`repro.analyze`) over the
     program — post-optimization, i.e. what actually executes — before

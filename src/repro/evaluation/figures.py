@@ -675,7 +675,6 @@ def figure_static_verification(elements: int = 4096, seed: int = 0) -> FigureRes
     all zero for a healthy registry.
     """
     from repro.analyze.verifier import verify_program
-    from repro.opt.pipeline import optimize_cached
     from repro.workloads.programs import optimizer_workload_programs
 
     result = FigureResult(
@@ -684,7 +683,7 @@ def figure_static_verification(elements: int = 4096, seed: int = 0) -> FigureRes
     )
     for program in optimizer_workload_programs(elements=elements, seed=seed):
         recorded = list(program.session.calls)
-        optimized = list(optimize_cached(recorded).calls)
+        optimized = list(program.session.optimize().calls)
         for stage, calls in (("recorded", recorded), ("optimized", optimized)):
             report = verify_program(calls, subject=f"{program.name} ({stage})")
             result.rows.append(

@@ -10,13 +10,11 @@ layer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.api.session import _LEGACY_UNSET
 from repro.baselines.base import BaselineCost
 from repro.baselines.pnm import PnmBaseline
 from repro.baselines.processor import (
@@ -27,6 +25,7 @@ from repro.baselines.processor import (
 )
 from repro.core.designs import PlutoDesign
 from repro.core.engine import DDR4, THREE_DS, CostReport, PlutoConfig, PlutoEngine
+from repro.plan.prepare import Executors, execute, prepare
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -129,24 +128,25 @@ class EvaluationHarness:
         self.fpga = ProcessorBaseline(FPGA_ZCU102)
         self.pnm = PnmBaseline()
         base_configs = configs if configs is not None else default_pluto_configs()
-        self.configs: dict[str, PlutoConfig] = {}
-        for label, config in base_configs.items():
-            self.configs[label] = PlutoConfig(
-                design=config.design,
-                memory=config.memory,
+        self.configs: dict[str, PlutoConfig] = {
+            label: replace(
+                config,
                 subarrays=subarray_override
                 if subarray_override is not None
                 else config.subarrays,
                 tfaw_fraction=tfaw_fraction,
             )
+            for label, config in base_configs.items()
+        }
         self.engines = {
             label: PlutoEngine(config) for label, config in self.configs.items()
         }
-        #: Warm per-configuration executors (lazy): reusing controllers
-        #: and dispatchers across execute_program calls keeps backend LUT
+        #: Warm per-configuration executors: reusing controllers and
+        #: dispatchers across execute_program calls keeps backend LUT
         #: gather arrays, trace templates, and scheduler memos hot.
-        self._controllers: dict[object, object] = {}
-        self._dispatchers: dict[object, object] = {}
+        self._executors = {
+            label: Executors(engine) for label, engine in self.engines.items()
+        }
 
     def evaluate(self, workload: Workload, elements: int | None = None) -> WorkloadResult:
         """Run one workload through every system."""
@@ -181,8 +181,6 @@ class EvaluationHarness:
         inputs: Mapping[str, np.ndarray],
         *,
         plan: "ExecutionPlan | str | None" = None,
-        shards: object = _LEGACY_UNSET,
-        optimize: object = _LEGACY_UNSET,
     ) -> "dict[str, ExecutionResult]":
         """Execute an API program bit-exactly on every configured engine.
 
@@ -202,118 +200,25 @@ class EvaluationHarness:
         each configuration gets the plan that is cheapest on *its*
         geometry (the chosen plan rides on ``result.execution_plan``
         with the :class:`~repro.plan.PlannerReport` on
-        ``result.planner``).  Controllers and dispatchers are reused
-        across calls, so repeated evaluations run on warm LUT,
+        ``result.planner``).  ``None`` defers to each configuration's
+        ``PlutoConfig(plan=...)``.  Controllers and dispatchers are
+        reused across calls, so repeated evaluations run on warm LUT,
         trace-template, and scheduler-memo caches.
 
         Plans with ``optimize=True`` run the program optimizer
-        (:mod:`repro.opt`) once — the rewrite is engine-independent —
-        and every configuration then compiles and executes the optimized
-        program; each result carries the shared report as
-        ``.optimization``.  The deprecated ``shards=`` / ``optimize=``
-        keywords build the equivalent plan with a ``DeprecationWarning``.
+        (:mod:`repro.opt`, memoized on program structure, so the
+        engine-independent rewrite happens once) and every configuration
+        then compiles and executes the optimized program; each result
+        carries the report as ``.optimization``.
         """
-        import warnings
-
-        from repro.api.session import compile_cached_with_key
-        from repro.backend.base import resolve_backend
-        from repro.controller.dispatch import ParallelDispatcher
-        from repro.controller.executor import PlutoController
-        from repro.controller.hierarchy import HierarchicalDispatcher
-        from repro.errors import ConfigurationError
-        from repro.opt.pipeline import optimize_cached
-        from repro.plan.execution_plan import ExecutionPlan, resolve_plan
-        from repro.plan.planner import plan_program
-
-        legacy: dict[str, object] = {}
-        if shards is not _LEGACY_UNSET:
-            legacy["shards"] = shards
-        if optimize is not _LEGACY_UNSET:
-            legacy["optimize"] = optimize
-        if legacy:
-            if plan is not None:
-                raise ConfigurationError(
-                    "execute_program() got both plan= and the deprecated "
-                    f"{sorted(legacy)} keyword(s); pass only plan="
-                )
-            names = ", ".join(f"{name}=" for name in sorted(legacy))
-            warnings.warn(
-                f"execute_program({names}) is deprecated; pass "
-                "plan=ExecutionPlan(...) (or plan='auto') instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            plan = ExecutionPlan(
-                shards=legacy.get("shards"),  # type: ignore[arg-type]
-                optimize=legacy.get("optimize"),  # type: ignore[arg-type]
-            )
-        resolved = resolve_plan(plan)
-        supports_batched = resolve_backend(self.backend).supports_batched
-
-        calls_plain = list(session.calls)
-        optimized_program = None
-
-        def calls_for(want_optimize: "bool | None") -> "tuple[list, object]":
-            nonlocal optimized_program
-            if want_optimize:
-                if optimized_program is None:
-                    optimized_program = optimize_cached(calls_plain)
-                return list(optimized_program.calls), optimized_program.report
-            return calls_plain, None
-
         results: dict[str, ExecutionResult] = {}
         for label, engine in self.engines.items():
-            chosen, planner_report = resolved, None
-            if resolved.is_auto:
-                planned = plan_program(
-                    calls_plain,
-                    engine,
-                    request=resolved,
-                    modes=("single", "banks", "hierarchy"),
-                    supports_batched=supports_batched,
-                    subject=f"harness program on {label}",
-                )
-                chosen, planner_report = planned.plan, planned.report
-            calls, report = calls_for(chosen.optimize)
-            jit = chosen.tier != "interpreted"
-            if chosen.hierarchical:
-                key = ("hierarchy", label, chosen.channels, chosen.ranks, jit)
-                dispatcher = self._dispatchers.get(key)
-                if dispatcher is None:
-                    dispatcher = HierarchicalDispatcher(
-                        engine,
-                        backend=self.backend,
-                        jit=jit,
-                        channels=chosen.channels,
-                        ranks=chosen.ranks,
-                    )
-                    self._dispatchers[key] = dispatcher
-                result = dispatcher.execute(calls, inputs, shards=chosen.shards)
-            elif chosen.effective_shards > 1:
-                key = ("banks", label, jit)
-                dispatcher = self._dispatchers.get(key)
-                if dispatcher is None:
-                    dispatcher = ParallelDispatcher(
-                        engine, backend=self.backend, jit=jit
-                    )
-                    self._dispatchers[key] = dispatcher
-                result = dispatcher.execute(
-                    calls, inputs, shards=chosen.effective_shards
-                )
-            else:
-                controller = self._controllers.get((label, jit))
-                if controller is None:
-                    controller = PlutoController(
-                        engine, backend=self.backend, jit=jit
-                    )
-                    self._controllers[(label, jit)] = controller
-                compiled, structure_key = compile_cached_with_key(calls)
-                result = controller.execute(
-                    compiled, dict(inputs), structure_key=structure_key
-                )
-            result.optimization = report
-            result.execution_plan = chosen
-            if planner_report is not None:
-                result.planner = planner_report.with_measured(result.latency_ns)
-            results[label] = result
+            prepared = prepare(
+                session.calls,
+                engine,
+                plan,
+                backend=self.backend,
+                subject=f"harness program on {label}",
+            )
+            results[label] = execute(prepared, inputs, self._executors[label])
         return results

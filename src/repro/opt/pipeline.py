@@ -16,7 +16,7 @@ carry it; its hit/miss counters surface through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from repro.analyze.verifier import check_pass_invariants, verification_enabled
@@ -72,6 +72,9 @@ class OptimizedProgram:
     report: OptimizationReport
     #: Names of the outputs the optimization preserved bit-identically.
     output_names: frozenset[str]
+    #: Structure key of ``calls`` (``None`` when unhashable); set by
+    #: :func:`optimize_cached`, so warm callers never recompute it.
+    structure_key: tuple[object, ...] | None = field(default=None, compare=False)
 
 
 class PassManager:
@@ -199,30 +202,37 @@ def optimize_program(
 #: Structure key -> OptimizedProgram (natural outputs, default pipeline).
 _OPTIMIZE_MEMO: BoundedMemo[OptimizedProgram] = BoundedMemo(512)
 
+#: Sentinel distinguishing "compute the key" from "known unhashable".
+_KEY_UNSET: object = object()
 
-def optimize_cached(calls: Sequence[ApiCall]) -> OptimizedProgram:
+
+def optimize_cached(
+    calls: Sequence[ApiCall], *, key: tuple[object, ...] | None | object = _KEY_UNSET
+) -> OptimizedProgram:
     """Optimize with the default pipeline, memoized on program structure.
 
-    The key is :func:`repro.compiler.lowering.program_structure_key` —
-    the same identity the compile, trace-template, and makespan memos
-    use, so a served program shape pays for its optimization exactly
-    once.  Unhashable structures (list-valued parameters) bypass the
-    memo and are counted as ``uncached``.
+    The key is :func:`repro.api.session.hashable_structure_key` — the
+    same identity the compile, trace-template, and makespan memos use,
+    so a served program shape pays for its optimization exactly once.
+    Callers that already hold the key pass it as ``key`` (``None``
+    meaning "known unhashable").  Unhashable structures bypass the memo
+    and are counted as ``uncached``.  The result carries the structure
+    key of the optimized program.
     """
-    from repro.compiler.lowering import program_structure_key
+    from repro.api.session import hashable_structure_key
 
-    try:
-        key = program_structure_key(list(calls))
-        # The key tuple builds fine around unhashable parameter values
-        # and only fails at hash time — probe before touching the memo.
-        hash(key)
-    except TypeError:
-        _OPTIMIZE_MEMO.note_uncached()
-        return optimize_program(calls)
-    optimized = _OPTIMIZE_MEMO.get(key)
+    if key is _KEY_UNSET:
+        key = hashable_structure_key(calls)
+    optimized = None if key is None else _OPTIMIZE_MEMO.get(key)
     if optimized is None:
         optimized = optimize_program(calls)
-        _OPTIMIZE_MEMO.put(key, optimized)
+        optimized = replace(
+            optimized, structure_key=hashable_structure_key(optimized.calls)
+        )
+        if key is None:
+            _OPTIMIZE_MEMO.note_uncached()
+        else:
+            _OPTIMIZE_MEMO.put(key, optimized)
     return optimized
 
 

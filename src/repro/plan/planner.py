@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence, cast
 
 from repro.errors import ConfigurationError
 from repro.plan.execution_plan import ExecutionPlan
@@ -187,6 +187,9 @@ class PlannedExecution:
 #: -> PlannedExecution.  A hit returns the chosen plan with zero
 #: analytic-model calls.
 _PLAN_MEMO: BoundedMemo[PlannedExecution] = BoundedMemo(512)
+
+#: Sentinel distinguishing "compute the key" from "known unhashable".
+_KEY_UNSET: object = object()
 
 
 def plan_memo_key(
@@ -543,6 +546,7 @@ def plan_program(
     modes: tuple[str, ...] = ("single", "banks", "hierarchy"),
     supports_batched: bool = True,
     subject: str = "program",
+    key: "tuple[object, ...] | None | object" = _KEY_UNSET,
 ) -> PlannedExecution:
     """Pick the cheapest execution configuration for ``calls``.
 
@@ -552,7 +556,8 @@ def plan_program(
     front door passes ``("hierarchy",)`` so auto stays hierarchical.
     ``supports_batched`` describes the backend that will execute the
     plan (the functional oracle cannot fuse shards or run the compiled
-    tier).
+    tier).  ``key`` is the program structure key when the caller already
+    holds it (``None`` meaning "known unhashable").
 
     Chosen plans are memoized on the program structure key plus the
     engine configuration and search constraints; a hit performs **zero**
@@ -572,7 +577,9 @@ def plan_program(
             "plan_program expects an auto plan; explicit plans execute as-is"
         )
 
-    structure_key = hashable_structure_key(calls)
+    if key is _KEY_UNSET:
+        key = hashable_structure_key(calls)
+    structure_key = cast("tuple[object, ...] | None", key)
     memo_key: tuple | None = None
     if structure_key is not None:
         memo_key = plan_memo_key(

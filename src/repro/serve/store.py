@@ -65,7 +65,7 @@ __all__ = [
 
 #: Bump when the artifact layout (or the meaning of any stored product)
 #: changes; entries written under another schema are discarded as stale.
-ARTIFACT_SCHEMA_VERSION = 1
+ARTIFACT_SCHEMA_VERSION = 2
 
 
 #: Process-wide counters surfaced as ``cache_stats()["shared_store"]``.
@@ -129,6 +129,9 @@ class WarmArtifacts:
     #: The memoized optimization (``None`` for unoptimized plans).
     optimized: "OptimizedProgram | None"
     executed_key: tuple
+    #: The verifier's report, when collecting ran the verifier (``None``
+    #: when this process already held a clean verdict, which then rides
+    #: ``compiled.verification_ok``).
     verification: "VerificationReport | None"
     compiled: "CompiledProgram"
     template: "TraceTemplate"
@@ -201,65 +204,43 @@ def collect_artifacts(
     modes: tuple[str, ...] = ("single", "banks", "hierarchy"),
     supports_batched: bool = True,
 ) -> WarmArtifacts:
-    """Run the warm-path pipeline for ``calls`` and bundle its products.
+    """Prepare ``calls`` as a verifying front door would and bundle the products.
 
-    Every step goes through the normal memoized front doors
-    (``plan_program`` / ``optimize_cached`` / ``verify_cached`` /
-    ``compile_cached`` / ``trace_template``), so collecting from a
-    process that already served the shape is pure cache hits — a worker
-    can export what it just served at negligible cost.
+    Preparation is :func:`repro.plan.prepare.prepare`, the path every
+    front door takes, so the bundle is exactly what a request for this
+    program produces — and collecting from a process that already served
+    the shape is pure cache hits, so a worker can export what it just
+    served at negligible cost.  ``supports_batched`` selects the backend
+    the plan is made for (vectorized when true, the functional oracle
+    otherwise).
     """
-    from repro.analyze.verifier import verify_cached
     from repro.api.session import compile_cached_with_key, hashable_structure_key
     from repro.controller.executor import PlutoController
-    from repro.opt.pipeline import optimize_cached
-    from repro.plan.execution_plan import resolve_plan
-    from repro.plan.planner import plan_program
+    from repro.plan.prepare import prepare, request_plan
 
     engine = _resolve_engine(engine)
-    structure_key = hashable_structure_key(calls)
-    if structure_key is None:
+    prepared = prepare(
+        calls,
+        engine,
+        plan,
+        backend="vectorized" if supports_batched else "functional",
+        modes=modes,
+        verify=True,
+        subject="warm-start",
+    )
+    if prepared.source_key is None or prepared.structure_key is None:
         raise ConfigurationError(
             "cannot store warm artifacts for a program whose structure key "
             "is unhashable (list-valued call parameters)"
         )
-    request = resolve_plan(plan if plan is not None else engine.config.plan)
-    planned = None
-    if request.is_auto:
-        planned = plan_program(
-            list(calls),
-            engine,
-            request=request,
-            modes=modes,
-            supports_batched=supports_batched,
-            subject="warm-start",
-        )
-        concrete = planned.plan
-    else:
-        concrete = request
-    optimize = concrete.optimize
-    if optimize is None:
-        optimize = engine.config.optimize
-    optimized = None
-    executed_calls = list(calls)
-    if optimize:
-        optimized = optimize_cached(list(calls))
-        executed_calls = list(optimized.calls)
-    executed_key = hashable_structure_key(executed_calls)
-    compiled, executed_key = compile_cached_with_key(
-        executed_calls, executed_key
-    )
-    verification = (
-        verify_cached(executed_calls, key=executed_key, subject="warm-start")
-        if executed_key is not None
-        else None
-    )
+    executed_key = prepared.structure_key
+    compiled, _ = compile_cached_with_key(prepared.calls, executed_key)
     controller = PlutoController(engine, backend="vectorized", jit=False)
     template = controller.trace_template(compiled, structure_key=executed_key)
-    assert executed_key is not None  # hashable raw key => hashable rewrite
 
     shard_products: list[ShardArtifacts] = []
-    if concrete.hierarchical or concrete.effective_shards > 1:
+    concrete = prepared.plan
+    if prepared.sharded:
         from repro.controller.dispatch import ShardPlanner
 
         geometry = engine.geometry
@@ -269,13 +250,13 @@ def collect_artifacts(
             count = geometry.channels * geometry.ranks * geometry.banks
         seen_lengths: set[int] = set()
         for start, stop, shard_calls in ShardPlanner.plan_slices(
-            executed_calls, count
+            list(prepared.calls), count
         ):
             length = stop - start
             if length in seen_lengths:
                 continue
             seen_lengths.add(length)
-            shard_key = hashable_structure_key(list(shard_calls))
+            shard_key = hashable_structure_key(shard_calls)
             shard_compiled, shard_key = compile_cached_with_key(
                 list(shard_calls), shard_key
             )
@@ -292,14 +273,14 @@ def collect_artifacts(
     return WarmArtifacts(
         schema=ARTIFACT_SCHEMA_VERSION,
         config=engine.config,
-        structure_key=structure_key,
-        request_plan=request,
+        structure_key=prepared.source_key,
+        request_plan=request_plan(plan, engine),
         plan_modes=tuple(modes),
         supports_batched=supports_batched,
-        planned=planned,
-        optimized=optimized,
+        planned=prepared.planned,
+        optimized=prepared.optimized,
         executed_key=executed_key,
-        verification=verification,
+        verification=prepared.verification,
         compiled=compiled,
         template=template,
         shards=tuple(shard_products),

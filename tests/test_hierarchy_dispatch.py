@@ -18,6 +18,7 @@ from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.dram.commands import Command, CommandType
 from repro.dram.geometry import DRAMGeometry
 from repro.errors import ConfigurationError, ExecutionError
+from repro.plan import ExecutionPlan
 
 ELEMENTS = 1024
 
@@ -240,10 +241,29 @@ class TestSessionSurface:
         session, inputs = _program()
         reference = session.run(inputs)
         engine = _engine(2, 2)
-        result = session.run_hierarchical(inputs, engine=engine, shards=8)
+        result = session.run_hierarchical(
+            inputs, engine=engine, plan=ExecutionPlan(hierarchical=True, shards=8)
+        )
         assert isinstance(result, HierarchicalExecutionResult)
         assert np.array_equal(result.outputs["out"], reference.outputs["out"])
         assert result.parallel_speedup > 1.0
+
+    def test_harness_keeps_the_configured_hierarchy(self):
+        """EvaluationHarness configs keep channels/ranks (and every other
+        field), so a 2x2 configuration really evaluates a 2x2 device."""
+        from repro.evaluation.harness import EvaluationHarness
+
+        session, inputs = _program(256)
+        config = PlutoConfig(channels=2, ranks=2)
+        harness = EvaluationHarness(configs={"x": config})
+        result = harness.execute_program(
+            session, inputs, plan=ExecutionPlan(hierarchical=True)
+        )["x"]
+        reference = session.run_hierarchical(inputs, engine=PlutoEngine(config))
+        assert result.num_shards == reference.num_shards
+        assert result.latency_ns == reference.latency_ns
+        assert result.energy_nj == reference.energy_nj
+        assert np.array_equal(result.outputs["out"], reference.outputs["out"])
 
     def test_run_hierarchical_default_shards(self):
         session, inputs = _program(64)

@@ -23,6 +23,7 @@ from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.core.lut import LookupTable, lut_from_function
 from repro.opt import optimize_program
 from repro.opt.analysis import natural_output_names
+from repro.plan import ExecutionPlan
 
 ELEMENTS = 24
 
@@ -129,7 +130,11 @@ def _run(
     shards: int,
 ) -> dict[str, np.ndarray]:
     session = PlutoSession(calls=list(calls), backend=backend)
-    result = session.run(_external_inputs(list(calls), inputs), engine=engine, shards=shards)
+    result = session.run(
+        _external_inputs(list(calls), inputs),
+        engine=engine,
+        plan=ExecutionPlan(shards=shards),
+    )
     return result.registers
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,8 @@ from repro.plan import (
 from repro.workloads.programs import optimizer_workload_programs, workload_program
 
 ELEMENTS = 1024
+#: The registry families every front door must agree on.
+FAMILIES = ("image", "crc", "salsa20", "vmpc", "bitcount", "vector_ops")
 
 
 def _add_program(elements: int = ELEMENTS) -> tuple[PlutoSession, dict]:
@@ -164,9 +164,7 @@ class TestPlannerMemoization:
 
 
 class TestPredictionExactness:
-    @pytest.mark.parametrize(
-        "family", ["image", "crc", "salsa20", "vmpc", "bitcount", "vector_ops"]
-    )
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_predicted_equals_measured_on_every_family(self, family):
         workload = workload_program(family, elements=512, seed=3)
         engine = PlutoEngine(PlutoConfig(design=PlutoDesign.BSA))
@@ -212,6 +210,49 @@ class TestAutoMatchesStatic:
             assert np.array_equal(compiled.outputs[name], interpreted.outputs[name])
         assert compiled.latency_ns == interpreted.latency_ns
 
+    @pytest.mark.parametrize(
+        "plan",
+        [None, "auto", ExecutionPlan(shards=8), ExecutionPlan(hierarchical=True)],
+        ids=["default", "auto", "shards8", "hierarchical"],
+    )
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_front_doors_agree(self, family, plan):
+        """session.run, the service, the harness and a warm start from the
+        artifact store prepare and execute one program identically."""
+        import asyncio
+
+        from repro.api.service import PlutoService
+        from repro.api.session import clear_all_caches
+        from repro.evaluation.harness import EvaluationHarness
+        from repro.serve.store import collect_artifacts, install_artifacts
+
+        program = workload_program(family, elements=256, seed=5)
+        session, inputs = program.session, program.inputs
+        reference = session.run(inputs, plan=plan)
+
+        async def serve():
+            async with PlutoService(session, plan=plan) as service:
+                return await service.submit(inputs)
+
+        served = asyncio.run(serve())
+        harness = EvaluationHarness(configs={"default": PlutoConfig()})
+        harnessed = harness.execute_program(session, inputs, plan=plan)["default"]
+        artifacts = collect_artifacts(session.calls, plan=plan)
+        clear_all_caches()
+        assert install_artifacts(artifacts)
+        warm = session.run(inputs, plan=plan)
+        for door, result in (
+            ("service", served),
+            ("harness", harnessed),
+            ("warm start", warm),
+        ):
+            assert result.execution_plan == reference.execution_plan, door
+            assert result.latency_ns == reference.latency_ns, door
+            assert result.energy_nj == reference.energy_nj, door
+            assert sorted(result.outputs) == sorted(reference.outputs), door
+            for name, array in reference.outputs.items():
+                assert np.array_equal(result.outputs[name], array), (door, name)
+
     def test_auto_never_worse_than_static_grid(self):
         session, inputs = _add_program()
         engine = PlutoEngine(PlutoConfig(design=PlutoDesign.BSA))
@@ -228,61 +269,44 @@ class TestAutoMatchesStatic:
         assert auto.latency_ns <= min(static) * 1.005
 
 
-class TestDeprecatedShims:
-    def test_run_shards_kwarg_builds_equivalent_plan(self):
-        session, inputs = _add_program()
-        with pytest.warns(DeprecationWarning, match="run\\(shards=\\)"):
-            legacy = session.run(inputs, shards=4)
-        explicit = session.run(inputs, plan=ExecutionPlan(shards=4))
-        assert legacy.execution_plan == explicit.execution_plan
-        assert legacy.latency_ns == explicit.latency_ns
-        for name in explicit.outputs:
-            assert np.array_equal(legacy.outputs[name], explicit.outputs[name])
-
-    def test_run_optimize_kwarg_builds_equivalent_plan(self):
-        session, inputs = _add_program()
-        with pytest.warns(DeprecationWarning, match="optimize="):
-            legacy = session.run(inputs, optimize=True)
-        explicit = session.run(inputs, plan=ExecutionPlan(optimize=True))
-        assert legacy.execution_plan == explicit.execution_plan
-        assert legacy.latency_ns == explicit.latency_ns
-
-    def test_run_rejects_plan_plus_legacy_kwargs(self):
-        session, inputs = _add_program()
-        with pytest.raises(ConfigurationError):
-            session.run(inputs, plan=ExecutionPlan(shards=2), shards=4)
-
-    def test_run_hierarchical_shims_and_plan(self):
-        session, inputs = _add_program()
-        with pytest.warns(DeprecationWarning):
-            legacy = session.run_hierarchical(inputs, shards=8)
-        explicit = session.run_hierarchical(
-            inputs, plan=ExecutionPlan(hierarchical=True, shards=8)
-        )
-        assert legacy.num_shards == explicit.num_shards == 8
-        assert legacy.latency_ns == explicit.latency_ns
-
+class TestEntryPointPlans:
     def test_run_hierarchical_coerces_plain_plans(self):
         session, inputs = _add_program()
         result = session.run_hierarchical(inputs, plan=ExecutionPlan(shards=4))
         assert result.execution_plan.hierarchical
         assert result.num_shards == 4
 
-    def test_run_batch_optimize_shim_and_plan_restriction(self):
+    def test_run_batch_rejects_sharded_plans(self):
         session, inputs = _add_program(256)
-        with pytest.warns(DeprecationWarning):
-            legacy = session.run_batch([inputs], optimize=True)
-        explicit = session.run_batch([inputs], plan=ExecutionPlan(optimize=True))
-        assert legacy.total_latency_ns == explicit.total_latency_ns
         with pytest.raises(ConfigurationError):
             session.run_batch([inputs], plan=ExecutionPlan(shards=4))
 
-    def test_no_warning_on_plan_only_calls(self):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PlutoConfig(),
+            PlutoConfig(plan=ExecutionPlan(shards=4), optimize=True),
+            PlutoConfig(plan="auto", optimize=True),
+        ],
+        ids=["default", "sharded", "auto"],
+    )
+    def test_execute_batch_runs_single_bank(self, config):
+        """execute_batch ignores the engine's plan and optimize settings."""
+        from repro.api.session import compile_cached_with_key, execute_batch
+        from repro.controller.executor import PlutoController
+
         session, inputs = _add_program(256)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            session.run(inputs, plan=ExecutionPlan(shards=2))
-            session.run(inputs, plan="auto")
+        engine = PlutoEngine(config)
+        batch = execute_batch([(session, inputs), (session, inputs)], engine=engine)
+        compiled, key = compile_cached_with_key(session.calls)
+        reference = PlutoController(engine, backend="vectorized").execute(
+            compiled, dict(inputs), structure_key=key
+        )
+        for result in batch.results:
+            assert result.execution_plan.effective_shards == 1
+            assert result.optimization is None
+            assert result.latency_ns == reference.latency_ns
+            assert np.array_equal(result.outputs["out"], reference.outputs["out"])
 
 
 class TestAutoOnEntryPoints:
@@ -319,6 +343,27 @@ class TestAutoOnEntryPoints:
 
         asyncio.run(main())
 
+    def test_coalesced_requests_keep_their_own_planner_reports(self):
+        import asyncio
+
+        async def main():
+            clear_planner_cache()
+            session, inputs = _add_program(256)
+            async with session.serve(
+                max_queue=8, max_batch=4, plan="auto"
+            ) as service:
+                results = await asyncio.gather(
+                    *[service.submit(inputs) for _ in range(3)]
+                )
+            assert [result.batch_size for result in results] == [3, 3, 3]
+            assert [result.planner.cached for result in results] == [
+                False,
+                True,
+                True,
+            ]
+
+        asyncio.run(main())
+
     def test_every_family_auto_plans_through_run(self):
         engine = PlutoEngine(PlutoConfig(design=PlutoDesign.BSA))
         for program in optimizer_workload_programs(elements=256, seed=0):
@@ -326,3 +371,64 @@ class TestAutoOnEntryPoints:
             auto = program.session.run(program.inputs, engine=engine, plan="auto")
             for name in reference.outputs:
                 assert np.array_equal(auto.outputs[name], reference.outputs[name])
+
+
+class TestStructureKeyOnce:
+    @pytest.mark.parametrize("plan", [None, "auto"], ids=["default", "auto"])
+    def test_hot_requests_build_the_key_once(self, plan, monkeypatch):
+        """One structure-key computation per hot request, whichever front
+        door serves it: planner, optimizer, verifier and compile cache
+        all reuse the key prepare() computed."""
+        import asyncio
+
+        import repro.compiler.lowering as lowering
+        from repro.api.service import PlutoService
+
+        built = []
+        original = lowering.program_structure_key
+
+        def counted(calls):
+            # A sharded plan (auto may pick one, by host-measured cost
+            # priors) also keys its smaller shard-slice programs once per
+            # request; only whole-program keys count here.
+            if calls and calls[0].output.size == 256:
+                built.append(len(calls))
+            return original(calls)
+
+        monkeypatch.setattr(lowering, "program_structure_key", counted)
+        program = workload_program("image", elements=256, seed=0)
+        session, inputs = program.session, program.inputs
+        for _ in range(2):
+            session.run(inputs, plan=plan)
+        built.clear()
+        session.run(inputs, plan=plan)
+        assert len(built) <= 1
+
+        async def serve():
+            async with PlutoService(session, plan=plan) as service:
+                for _ in range(2):
+                    await service.submit(inputs)
+                built.clear()
+                await service.submit(inputs)
+                return len(built)
+
+        assert asyncio.run(serve()) <= 1
+
+    def test_unhashable_programs_bypass_the_memos(self):
+        from repro.api.session import cache_stats, clear_all_caches
+
+        session, inputs = _add_program(256)
+        # A list-valued parameter makes the structure key unhashable.
+        session.calls[0].parameters["taps"] = [1, 2, 3]
+        reference = session.run(inputs)
+        clear_all_caches()
+        engine = PlutoEngine(PlutoConfig(verify="always"))
+        result = session.run(
+            inputs, engine=engine, plan=ExecutionPlan.auto(optimize=True)
+        )
+        assert np.array_equal(result.outputs["out"], reference.outputs["out"])
+        stats = cache_stats()
+        for layer in ("planner", "optimizer", "verifier"):
+            assert stats[layer]["uncached"] >= 1, layer
+            assert stats[layer]["size"] == 0, layer
+        assert stats["programs"]["size"] == 0

@@ -10,6 +10,7 @@ import pytest
 from repro.api import PlutoSession, PlutoService
 from repro.controller.hierarchy import HierarchicalExecutionResult
 from repro.core.engine import PlutoConfig, PlutoEngine
+from repro.plan import ExecutionPlan
 from repro.errors import (
     ConfigurationError,
     ServiceClosedError,
@@ -218,7 +219,7 @@ class TestServing:
             )
             inputs = _add_inputs(rng)
             async with session.serve(
-                engine=engine, hierarchical=True, shards=8
+                engine=engine, plan=ExecutionPlan(hierarchical=True, shards=8)
             ) as service:
                 served = await service.submit(inputs)
             assert isinstance(served.result, HierarchicalExecutionResult)
@@ -392,7 +393,7 @@ class TestOptimizedServing:
                     *(plain_service.submit(inputs) for inputs in requests)
                 )
             async with session.serve(
-                max_queue=16, max_batch=8, optimize=True
+                max_queue=16, max_batch=8, plan=ExecutionPlan(optimize=True)
             ) as service:
                 optimized = await asyncio.gather(
                     *(service.submit(inputs) for inputs in requests)
@@ -414,7 +415,7 @@ class TestOptimizedServing:
             session = _chain_program()
             rng = np.random.default_rng(43)
             async with session.serve(
-                max_queue=16, max_batch=8, optimize=True
+                max_queue=16, max_batch=8, plan=ExecutionPlan(optimize=True)
             ) as service:
                 results = await asyncio.gather(
                     *(service.submit(_chain_inputs(rng)) for _ in range(8))
@@ -434,11 +435,15 @@ class TestOptimizedServing:
             rng = np.random.default_rng(47)
             async with session.serve(max_queue=16, max_batch=8) as service:
                 futures = [
-                    service.submit_nowait(_add_inputs(rng), optimize=True)
+                    service.submit_nowait(
+                        _add_inputs(rng), plan=ExecutionPlan(optimize=True)
+                    )
                     for _ in range(3)
                 ]
                 futures += [
-                    service.submit_nowait(_add_inputs(rng), optimize=False)
+                    service.submit_nowait(
+                        _add_inputs(rng), plan=ExecutionPlan(optimize=False)
+                    )
                     for _ in range(3)
                 ]
                 results = await asyncio.gather(*futures)
