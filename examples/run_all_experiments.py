@@ -24,7 +24,7 @@ from repro.evaluation import (
     figure12_sharded_scaling,
     figure13_sharded_tfaw,
     figure_auto_planner,
-    figure_execution_tiers,
+    figure_execution_paths,
     figure_hierarchy_scaling,
     figure_latency_breakdown,
     figure_optimizer_gains,
@@ -76,11 +76,11 @@ PAPER_HEADLINES = {
     ),
     "Auto-planner gains": (
         "(beyond the paper) The cost-based planner prices shard counts, "
-        "placements, optimizer, and tier from the analytic makespan model "
+        "placements, and optimizer from the analytic makespan model "
         "and matches the best static configuration exactly (zero "
         "predicted-vs-measured error, bit-identical outputs)"
     ),
-    "Execution tiers": (
+    "Execution paths": (
         "(beyond the paper) Whole-program compiled closures remove the "
         "per-instruction Python dispatch of the simulator (>=5x over the "
         "interpreted walk on serving programs, bit-identical outputs)"
@@ -137,7 +137,7 @@ def main() -> None:
         lambda: figure_hierarchy_scaling(),
         lambda: figure_optimizer_gains(),
         lambda: figure_auto_planner(),
-        lambda: figure_execution_tiers(),
+        lambda: figure_execution_paths(),
         lambda: figure_static_verification(),
         lambda: figure_worker_scaling(),
         lambda: figure_latency_breakdown(),

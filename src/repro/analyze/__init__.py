@@ -1,7 +1,7 @@
 """Static analysis for pLUTo programs: dataflow core + IR verifier.
 
-Every fast tier built so far — the optimizer's rewrites, the compiled
-closures' guard elimination, the serving tier's structure-key caches —
+Every fast path built so far — the optimizer's rewrites, the compiled
+closures' guard elimination, the serving layer's structure-key caches —
 assumes pLUTo programs are well-formed.  This package checks those
 invariants independently, the way production compiler stacks verify
 their IR between passes:

@@ -1,6 +1,6 @@
 """The pLUTo IR verifier: structural invariants as structured diagnostics.
 
-Every fast tier assumes well-formed programs; this module *checks* those
+Every fast path assumes well-formed programs; this module *checks* those
 assumptions and reports violations as :class:`Diagnostic` records
 (severity, instruction index, message, fix hint) instead of raising, so
 callers choose the policy: the CLI prints them, the serving front doors
@@ -22,7 +22,7 @@ Two levels are verified, matching the two program representations:
 
 :func:`verify_program` chains both; :func:`verify_cached` memoizes whole
 reports on the program structure key (the identity every other warm
-layer uses), so verify-on-submit in the serving tier costs a dict hit
+layer uses), so verify-on-submit in the serving layer costs a dict hit
 per repeated request shape.  :func:`verify_shard_plans` checks dispatch
 plans for slice aliasing and bank placement, and
 :func:`check_pass_invariants` is the optimizer's hook: it re-verifies a
@@ -759,7 +759,7 @@ def verify_cached(
     """:func:`verify_program`, memoized on the program structure key.
 
     The same identity the compile/optimize/trace-template memos use, so
-    serving-tier verify-on-submit costs one dict hit per repeated
+    serving-layer verify-on-submit costs one dict hit per repeated
     request shape.  Unhashable structures bypass the memo (counted as
     ``uncached``).  The cached report keeps its original subject; it is
     re-labelled when the caller asks for a different one.

@@ -142,7 +142,7 @@ class ServiceStats:
     def summary(self) -> dict:
         """Counters plus p50/p95/p99 latency percentiles (picklable).
 
-        The reporting shape of the serving tier: every counter of this
+        The reporting shape of the serving layer: every counter of this
         dataclass, with the three latency distributions rendered as
         :meth:`~repro.serve.stats.LatencyHistogram.summary` snapshots.
         """
@@ -235,8 +235,8 @@ class PlutoService:
     ``max_batch`` caps how many structurally identical requests one batch
     coalesces.  ``plan`` is the service-wide
     :class:`~repro.plan.ExecutionPlan` (or ``"auto"``) every request
-    executes under — sharding, hierarchy placement, optimizer, and
-    execution tier, exactly as in :meth:`PlutoSession.run`; with
+    executes under — sharding, hierarchy placement and optimizer,
+    exactly as in :meth:`PlutoSession.run`; with
     ``"auto"`` the cost-based planner resolves a concrete plan per
     distinct request structure (memoized, so one planning pass serves a
     whole coalesced batch).  A plan with ``optimize=True`` runs every

@@ -537,7 +537,7 @@ class PlutoSession:
 
         ``plan`` is the unified execution front door: an
         :class:`~repro.plan.ExecutionPlan` describing the shard count,
-        hierarchy placement, optimizer, and execution tier — or the
+        hierarchy placement and optimizer — or the
         string ``"auto"``, which hands the choice to the cost-based
         planner (candidates priced with the analytic makespan model,
         chosen plans memoized on the program structure key; the result

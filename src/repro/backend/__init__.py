@@ -9,11 +9,13 @@ speed:
 * ``"functional"`` — the bit-exact :class:`PlutoSubarray` row-sweep path.
 * ``"vectorized"`` — whole-program NumPy gather/bitwise execution.
 
-On top of the vectorized tier, :mod:`repro.backend.compiled` lowers a
-whole compiled program into a single cached NumPy closure (zero
-per-instruction Python dispatch); the controller routes vectorized
-executions through it automatically when a program structure key is
-available.
+On the vectorized backend, :mod:`repro.backend.compiled` lowers a whole
+compiled program into a single cached NumPy closure (zero
+per-instruction Python dispatch); the controller runs every keyed
+vectorized execution through it — there is no interpreted fallback, and
+a lowering error raises like any execution error.  Keyless executions
+walk the program instruction by instruction, as the functional oracle
+does.
 """
 
 from repro.backend.base import ExecutionBackend, backend_names, resolve_backend

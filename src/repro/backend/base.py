@@ -53,11 +53,12 @@ class ExecutionBackend(abc.ABC):
     #: Registry name ("functional", "vectorized", ...).
     name: ClassVar[str] = "abstract"
 
-    #: Whether the backend executes *stacked* programs: every functional
-    #: operation accepts ``(shards, elements)`` arrays, so a whole set of
-    #: equal-sized shards runs in one pass (``PlutoController.execute_fused``).
-    #: The shared bitwise/shift/move implementations below are already
-    #: shape-polymorphic; a backend opts in when its LUT-query path is too.
+    #: Whether the backend's effects are plain NumPy array operations, so
+    #: the whole-program compiled closure (:mod:`repro.backend.compiled`)
+    #: can replace them — including over stacked ``(shards, elements)``
+    #: arrays, where a set of equal-sized shards runs in one pass
+    #: (``PlutoController.execute_fused``).  The functional oracle opts
+    #: out and keeps its row sweep.
     supports_batched: ClassVar[bool] = False
 
     def __init__(self) -> None:
@@ -92,19 +93,6 @@ class ExecutionBackend(abc.ABC):
 
         Raises :class:`ExecutionError` if no LUT is bound to the register.
         """
-
-    def lut_query_batched(
-        self, register_index: int, indices: np.ndarray
-    ) -> np.ndarray:
-        """Evaluate the bound LUT for a stacked ``(shards, n)`` index array.
-
-        Only available on backends with :attr:`supports_batched`; the
-        default raises so the dispatcher falls back to per-shard
-        execution on oracle backends.
-        """
-        raise ExecutionError(
-            f"backend {self.name!r} does not support batched LUT queries"
-        )
 
     # ------------------------------------------------------------------ #
     # Shared functional effects (identical in every backend)

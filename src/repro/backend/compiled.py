@@ -1,4 +1,4 @@
-"""Whole-program compiled execution: the program-level JIT tier.
+"""Whole-program compiled execution: the vectorized backend's fast path.
 
 The vectorized backend already turns each LUT query into one NumPy
 gather, but the controller still *walks* the program op by op — an
@@ -16,9 +16,10 @@ layer (:func:`compiled_exec_cached`).
 Cost accounting is untouched: the controller realizes the program's
 cached :class:`~repro.controller.executor.TraceTemplate` alongside the
 closure, so a compiled execution's command trace is bit-identical to the
-interpreted route's by construction.  The ``"functional"`` backend stays
-interpreted on purpose — it is the bit-exactness oracle the differential
-suites compare both fast tiers against.
+per-instruction walk's by construction.  The ``"functional"`` backend
+keeps that walk on purpose — it is the bit-exactness oracle the
+differential suites compare the closure against.  There is no fallback:
+a program that fails to lower raises where execution errors surface.
 """
 
 from __future__ import annotations
@@ -378,8 +379,8 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
             if destination.size_elements > instruction.source.size_elements:
                 # Partial overwrite keeps the destination's tail, exactly
                 # like the in-place slice write of ``backend.move``; a
-                # stacked array has no 1-D equivalent, so such programs
-                # fall back to the interpreted walk when fused.
+                # stacked array has no 1-D equivalent, so fused batches
+                # of such programs run row by row.
                 emit(
                     f"r{destination.index}"
                     f"[:{instruction.source.size_elements}] = {source}"
@@ -505,10 +506,10 @@ def compile_program(
 ) -> CompiledExecutable:
     """Lower a compiled program into one whole-program NumPy closure.
 
-    ``backend`` names the execution tier the closure replaces; only
-    batched-capable backends (the vectorized tier) can be compiled — the
-    functional backend deliberately stays interpreted so it remains the
-    bit-exactness oracle the fast tiers are differentially tested
+    ``backend`` names the backend the closure replaces; only
+    batched-capable backends (the vectorized one) can be compiled — the
+    functional backend deliberately keeps its row sweep so it remains
+    the bit-exactness oracle the closure is differentially tested
     against.
     """
     from repro.backend.base import resolve_backend
@@ -522,13 +523,8 @@ def compile_program(
     return _lower(compiled)
 
 
-#: Cached compile *failures*: programs whose structure cannot lower (an
-#: unsupported instruction) are remembered so the controller stops
-#: re-attempting them on every execution.
-_UNSUPPORTED = object()
-
-#: Structure key -> CompiledExecutable (or the unsupported sentinel).
-_COMPILED_MEMO: BoundedMemo[object] = BoundedMemo(512)
+#: Structure key -> CompiledExecutable.
+_COMPILED_MEMO: BoundedMemo[CompiledExecutable] = BoundedMemo(512)
 
 
 def compiled_exec_cached(
@@ -536,10 +532,9 @@ def compiled_exec_cached(
 ) -> CompiledExecutable | None:
     """The memoized executable for a program structure.
 
-    Returns ``None`` when the program cannot take the compiled tier —
-    no usable structure key, or a structure that failed to lower (the
-    failure is cached too) — and the caller falls back to interpreted
-    execution.
+    Returns ``None`` only when there is no usable structure key (absent
+    or unhashable); the caller then walks the program.  A lowering error
+    propagates unchanged and is not cached.
     """
     if structure_key is None:
         _COMPILED_MEMO.note_uncached()
@@ -550,38 +545,28 @@ def compiled_exec_cached(
         _COMPILED_MEMO.note_uncached()
         return None
     if cached is not None:
-        return None if cached is _UNSUPPORTED else cached  # type: ignore[return-value]
-    try:
-        with stage("closure_build", instructions=len(compiled.program)):
-            executable = _lower(compiled)
-    except Exception:
-        _COMPILED_MEMO.put(structure_key, _UNSUPPORTED)
-        return None
+        return cached
+    with stage("closure_build", instructions=len(compiled.program)):
+        executable = _lower(compiled)
     _COMPILED_MEMO.put(structure_key, executable)
     return executable
 
 
 def seed_compiled_exec(
     compiled: CompiledProgram, *, structure_key: tuple
-) -> CompiledExecutable | None:
+) -> CompiledExecutable:
     """Pre-build and install the executable without miss accounting.
 
     Warm-start installation regenerates closures from stored compile
     products; counting that regeneration as a cache miss would make a
-    fully warm process look cold.  Returns the installed executable (or
-    ``None`` when the structure cannot take the compiled tier — the
-    unsupported verdict is cached all the same).
+    fully warm process look cold.  Returns the installed executable; a
+    lowering error propagates.
     """
     cached = _COMPILED_MEMO.peek(structure_key)
-    if cached is not None:
-        return None if cached is _UNSUPPORTED else cached  # type: ignore[return-value]
-    try:
-        executable = _lower(compiled)
-    except Exception:
-        _COMPILED_MEMO.put(structure_key, _UNSUPPORTED)
-        return None
-    _COMPILED_MEMO.put(structure_key, executable)
-    return executable
+    if cached is None:
+        cached = _lower(compiled)
+        _COMPILED_MEMO.put(structure_key, cached)
+    return cached
 
 
 def compiled_exec_stats() -> dict[str, int]:

@@ -29,8 +29,8 @@ class VectorizedBackend(ExecutionBackend):
 
     name = "vectorized"
     #: A gather is shape-polymorphic — ``table[indices]`` preserves the
-    #: index array's shape — so stacked ``(shards, elements)`` programs
-    #: execute in one pass (the fused dispatch path).
+    #: index array's shape — so the compiled closure replaces this
+    #: backend, stacked ``(shards, elements)`` programs included.
     supports_batched = True
 
     def __init__(self) -> None:
@@ -58,14 +58,3 @@ class VectorizedBackend(ExecutionBackend):
                 f"{lut.num_entries}-entry LUT {lut.name!r}"
             )
         return table[indices.astype(np.intp, copy=False)]
-
-    def lut_query_batched(
-        self, register_index: int, indices: np.ndarray
-    ) -> np.ndarray:
-        """One gather over a stacked ``(shards, n)`` index array.
-
-        Identical to :meth:`lut_query` — the gather preserves the index
-        shape — so fused execution is bit-identical to per-shard
-        execution by construction.
-        """
-        return self.lut_query(register_index, indices)

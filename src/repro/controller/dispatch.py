@@ -478,10 +478,9 @@ class ParallelDispatcher:
         backend: str | ExecutionBackend = "vectorized",
         *,
         fused: bool | None = None,
-        jit: bool = True,
     ) -> None:
         self.engine = engine if engine is not None else PlutoEngine(PlutoConfig())
-        self.controller = PlutoController(self.engine, backend=backend, jit=jit)
+        self.controller = PlutoController(self.engine, backend=backend)
         self.planner = ShardPlanner(num_banks=self.engine.geometry.banks)
         self.fused = fused
 

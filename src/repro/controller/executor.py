@@ -172,32 +172,28 @@ class PlutoController:
     backend instance across executions, which lets batched sessions share
     cached LUT gather arrays.
 
-    ``jit`` (default on) enables the whole-program compiled tier
-    (:mod:`repro.backend.compiled`): executions that arrive with a
-    program ``structure_key`` on a batched-capable backend run through
-    one cached NumPy closure instead of the per-instruction interpreter
-    — bit-identical outputs and traces, no per-op Python dispatch.  Pass
-    ``jit=False`` to pin the interpreted vectorized path (the compiled
-    tier's own differential oracle).
+    Executions that arrive with a program ``structure_key`` on a
+    batched-capable backend run through one cached whole-program NumPy
+    closure (:mod:`repro.backend.compiled`) — bit-identical outputs and
+    traces, no per-op Python dispatch.  Keyless executions, and every
+    execution on the functional backend, walk the program instruction by
+    instruction: the same loop the functional oracle runs.
     """
 
     def __init__(
         self,
         engine: PlutoEngine | None = None,
         backend: str | ExecutionBackend = "functional",
-        *,
-        jit: bool = True,
     ) -> None:
         self.engine = engine if engine is not None else PlutoEngine(PlutoConfig())
         self.rom = CommandRom()
         self.backend = resolve_backend(backend)
-        self.jit = jit
         #: Executable -> ``(TraceTemplate, realized bank-0 trace)``.
         #: Identity-keyed (CompiledExecutable has no __eq__), so repeated
         #: compiled executions skip both the structure-key rehash and the
         #: engine-config hash; the controller's engine never changes, so
         #: the entry stays valid for the executable's lifetime.
-        self._jit_entries: dict = {}
+        self._closure_entries: dict = {}
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -220,26 +216,24 @@ class PlutoController:
         so the scheduler can model cross-bank tRRD/tFAW contention.
 
         ``structure_key`` is the program-structure key the program was
-        compiled under; with it (on a batched-capable backend, unless
-        ``jit=False``) the execution takes the whole-program compiled
-        tier: one cached NumPy closure performs every functional effect
-        and the trace is realized from the cached template — bit-identical
-        to the interpreted walk below by construction.
+        compiled under; with it (on a batched-capable backend) one cached
+        NumPy closure performs every functional effect and the trace is
+        realized from the cached template — bit-identical to the walk
+        below by construction.  A program that fails to lower raises the
+        lowering error here, like any other execution error.
         """
         geometry = self.engine.geometry
         if not 0 <= bank < geometry.banks:
             raise ExecutionError(
                 f"bank {bank} outside the module's range [0, {geometry.banks})"
             )
-        if self.jit and structure_key is not None:
+        if structure_key is not None and self.backend.supports_batched:
             # Fast path: reuse the executable pinned on the program by a
             # prior resolution; fall into the memo only when unseen.
-            executable = compiled.__dict__.get("_jit_executable")
+            executable = compiled.__dict__.get("_executable")
             if executable is None:
                 executable = self._compiled_executable(compiled, structure_key)
-            elif executable is False or not self.backend.supports_batched:
-                executable = None
-            if executable is not None:
+            if executable:
                 # Input validation happens inside run_finals (same rules
                 # as _check_inputs, fused into the seeding pass).
                 return self._execute_compiled(
@@ -323,32 +317,29 @@ class PlutoController:
         )
 
     # ------------------------------------------------------------------ #
-    # Whole-program compiled execution (the JIT tier)
+    # Whole-program compiled execution
     # ------------------------------------------------------------------ #
     def _compiled_executable(
         self, compiled: CompiledProgram, structure_key: tuple | None
     ):
-        """The memoized whole-program closure, when the JIT tier applies.
+        """The memoized whole-program closure for a keyed program.
 
-        The tier requires an explicit opt-in signal (a structure key), a
-        batched-capable backend, and ``jit=True``; the functional oracle
-        and keyless executions keep the interpreted walk.  The resolved
-        executable (or its absence) is pinned on the ``CompiledProgram``
-        object so repeated executions of a cached program skip the
-        structure-key rehash; the bounded memo stays the authoritative,
-        stats-surfaced store keyed by structure.
+        ``None`` when there is no usable key (absent or unhashable): such
+        executions walk the program.  The resolved executable (or its
+        absence) is pinned on the ``CompiledProgram`` object so repeated
+        executions of a cached program skip the structure-key rehash; the
+        bounded memo stays the authoritative, stats-surfaced store keyed
+        by structure.  Lowering errors propagate and are not cached.
         """
-        if not self.jit or structure_key is None:
+        if structure_key is None or not self.backend.supports_batched:
             return None
-        if not self.backend.supports_batched:
-            return None
-        pinned = compiled.__dict__.get("_jit_executable")
+        pinned = compiled.__dict__.get("_executable")
         if pinned is not None:
             return pinned or None
         from repro.backend.compiled import compiled_exec_cached
 
         executable = compiled_exec_cached(compiled, structure_key=structure_key)
-        compiled.__dict__["_jit_executable"] = (
+        compiled.__dict__["_executable"] = (
             executable if executable is not None else False
         )
         return executable
@@ -363,7 +354,7 @@ class PlutoController:
         structure_key: tuple | None,
     ) -> ExecutionResult:
         """Run the closure; accounting comes from the cached template."""
-        entry = self._jit_entries.get(executable)
+        entry = self._closure_entries.get(executable)
         if entry is None:
             template = self.trace_template(compiled, structure_key=structure_key)
             # The realized bank-0 trace is placement-independent and
@@ -373,9 +364,9 @@ class PlutoController:
                 template,
                 template.realize(self.engine.timing, self.engine.energy, bank=0),
             )
-            if len(self._jit_entries) >= 512:
-                self._jit_entries.clear()
-            self._jit_entries[executable] = entry
+            if len(self._closure_entries) >= 512:
+                self._closure_entries.clear()
+            self._closure_entries[executable] = entry
         template, trace0 = entry
         served = executable.run_serve(inputs)
         if served is not None:
@@ -488,7 +479,8 @@ class PlutoController:
 
         Requires a backend with ``supports_batched`` (the vectorized
         backend); the functional backend keeps the per-shard loop as the
-        bit-exactness oracle.
+        bit-exactness oracle.  A keyless program, or one whose closure
+        cannot run stacked, executes row by row through :meth:`execute`.
         """
         backend = self.backend
         if not backend.supports_batched:
@@ -506,48 +498,28 @@ class PlutoController:
                     f"bank {bank} outside the module's range [0, {geometry.banks})"
                 )
         self._check_stacked_inputs(compiled, inputs, shards)
+        executable = self._compiled_executable(compiled, structure_key)
+        if executable is None or not executable.supports_fused:
+            # No closure, or a partial-row move (ISA level; the API
+            # forbids it) that has no stacked equivalent.
+            return [
+                self.execute(
+                    compiled,
+                    {name: np.asarray(data)[shard] for name, data in inputs.items()},
+                    bank=bank,
+                    structure_key=structure_key,
+                )
+                for shard, bank in enumerate(banks)
+            ]
         template = self.trace_template(compiled, structure_key=structure_key)
         register_by_vector = compiled.vector_bindings
-
-        executable = self._compiled_executable(compiled, structure_key)
-        if executable is not None and executable.supports_fused:
-            # The whole stacked batch runs through the compiled closure;
-            # only the per-shard result assembly below stays in Python.
-            finals = executable.run_finals(inputs, shards=shards)
-            values = {
-                slot: finals[position]
-                for position, slot in enumerate(executable.final_slots)
-            }
-        else:
-            backend.begin_program(geometry, self.engine.config.design)
-            values = {}
-            for name, data in inputs.items():
-                register = register_by_vector[name]
-                values[register.index] = np.asarray(data, dtype=np.uint64)
-
-            for instruction in compiled.program:
-                if isinstance(instruction, PlutoRowAlloc):
-                    if instruction.destination.index not in values:
-                        values[instruction.destination.index] = np.zeros(
-                            (shards, instruction.size_elements), dtype=np.uint64
-                        )
-                elif isinstance(instruction, PlutoSubarrayAlloc):
-                    backend.load_lut(
-                        instruction.destination.index,
-                        compiled.lut_bindings[instruction.destination.index],
-                    )
-                elif isinstance(instruction, PlutoOp):
-                    self._execute_lut_query_batched(instruction, compiled, values)
-                elif isinstance(instruction, PlutoBitwise):
-                    self._execute_bitwise(instruction, values)
-                elif isinstance(instruction, (PlutoBitShift, PlutoByteShift)):
-                    self._execute_shift(instruction, values)
-                elif isinstance(instruction, PlutoMove):
-                    self._execute_move(instruction, values)
-                else:
-                    raise ExecutionError(
-                        f"unsupported instruction {type(instruction).__name__}"
-                    )
+        # The whole stacked batch runs through the compiled closure; only
+        # the per-shard result assembly below stays in Python.
+        finals = executable.run_finals(inputs, shards=shards)
+        values = {
+            slot: finals[position]
+            for position, slot in enumerate(executable.final_slots)
+        }
 
         results: list[ExecutionResult] = []
         for shard, bank in enumerate(banks):
@@ -575,22 +547,6 @@ class PlutoController:
                 )
             )
         return results
-
-    def _execute_lut_query_batched(
-        self, instruction: PlutoOp, compiled: CompiledProgram, values
-    ) -> None:
-        source = values.get(instruction.source.index)
-        if source is None:
-            raise ExecutionError(
-                f"{instruction.render()}: source register has no data"
-            )
-        lut = compiled.lut_bindings[instruction.lut_subarray.index]
-        result = self.backend.lut_query_batched(
-            instruction.lut_subarray.index, source
-        )
-        values[instruction.destination.index] = result & np.uint64(
-            mask_of(min(64, lut.element_bits))
-        )
 
     @staticmethod
     def _check_stacked_inputs(

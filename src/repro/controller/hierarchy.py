@@ -397,7 +397,6 @@ class HierarchicalDispatcher:
         backend: str | ExecutionBackend = "vectorized",
         *,
         fused: bool | None = None,
-        jit: bool = True,
         channels: int | None = None,
         ranks: int | None = None,
     ) -> None:
@@ -420,7 +419,7 @@ class HierarchicalDispatcher:
             placement = replace(
                 geometry, channels=self.channels, ranks=self.ranks
             )
-        self.controller = PlutoController(self.engine, backend=backend, jit=jit)
+        self.controller = PlutoController(self.engine, backend=backend)
         self.planner = HierarchyPlanner(placement)
         self.fused = fused
 

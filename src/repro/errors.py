@@ -37,7 +37,7 @@ class VerificationError(ConfigurationError):
     """A program failed static verification (:mod:`repro.analyze`).
 
     Carries the error-severity :class:`~repro.analyze.diagnostics.Diagnostic`
-    records as :attr:`diagnostics`, so callers (and the serving tier's
+    records as :attr:`diagnostics`, so callers (and the serving layer's
     request rejections) can inspect the structured findings instead of
     parsing the message.  Subclasses :class:`ConfigurationError`: the
     ad-hoc API-layer checks this machinery replaces raised that, and

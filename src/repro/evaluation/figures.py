@@ -39,7 +39,7 @@ __all__ = [
     "figure13_sharded_tfaw",
     "figure14_salp_scaling",
     "figure_auto_planner",
-    "figure_execution_tiers",
+    "figure_execution_paths",
     "figure_hierarchy_scaling",
     "figure_latency_breakdown",
     "figure_optimizer_gains",
@@ -739,21 +739,22 @@ def figure14_salp_scaling(
 
 
 # --------------------------------------------------------------------- #
-# Execution tiers — simulator latency per execution strategy
+# Execution paths — simulator latency per execution strategy
 # --------------------------------------------------------------------- #
-def figure_execution_tiers(
+def figure_execution_paths(
     elements: int = 4096,
     workloads: tuple[str, ...] = ("image", "salsa20"),
     rounds: int = 5,
 ) -> FigureResult:
-    """Wall-clock latency of one execution per simulator tier.
+    """Wall-clock latency of one execution per simulator path.
 
     The same compiled serving programs run through the three execution
     strategies — the functional row-sweep oracle, the per-instruction
-    interpreted vectorized walk, and the whole-program compiled closure —
-    with outputs compared bit for bit across all three.  The compiled
-    row is the per-op-Python-overhead gap this repository's JIT tier
-    closes; ``benchmarks/test_backend_speed.py`` gates its floor.
+    vectorized walk (a keyless execution), and the whole-program compiled
+    closure (a keyed one) — with outputs compared bit for bit across all
+    three.  The compiled row is the per-op-Python-overhead gap the
+    closure removes; ``benchmarks/test_backend_speed.py`` gates its
+    floor.
     """
     import time
 
@@ -762,15 +763,17 @@ def figure_execution_tiers(
     from repro.workloads.programs import workload_program
 
     engine = PlutoEngine(PlutoConfig(design=PlutoDesign.BSA))
-    tiers = {
-        "functional": PlutoController(engine, backend="functional"),
-        "interpreted": PlutoController(engine, backend="vectorized", jit=False),
-        "compiled": PlutoController(engine, backend="vectorized"),
+    vectorized = PlutoController(engine, backend="vectorized")
+    # Path -> (controller, whether it passes the structure key).
+    paths = {
+        "functional": (PlutoController(engine, backend="functional"), True),
+        "interpreted": (vectorized, False),
+        "compiled": (vectorized, True),
     }
     result = FigureResult(
-        name="Execution tiers",
+        name="Execution paths",
         description=(
-            f"Per-tier simulator latency of the {elements}-element "
+            f"Per-path simulator latency of the {elements}-element "
             "serving programs"
         ),
     )
@@ -779,26 +782,27 @@ def figure_execution_tiers(
         compiled, key = compile_cached_with_key(workload.session.calls)
         latencies: dict[str, float] = {}
         outputs: dict[str, dict] = {}
-        for tier, controller in tiers.items():
+        for path, (controller, keyed) in paths.items():
+            path_key = key if keyed else None
             execution = controller.execute(
-                compiled, dict(workload.inputs), structure_key=key
+                compiled, dict(workload.inputs), structure_key=path_key
             )  # warm-up: caches, closures
-            reps = 1 if tier == "functional" else 30
+            reps = 1 if path == "functional" else 30
             best = float("inf")
-            for _ in range(1 if tier == "functional" else rounds):
+            for _ in range(1 if path == "functional" else rounds):
                 start = time.perf_counter()
                 for _ in range(reps):
                     execution = controller.execute(
-                        compiled, dict(workload.inputs), structure_key=key
+                        compiled, dict(workload.inputs), structure_key=path_key
                     )
                 best = min(best, (time.perf_counter() - start) / reps)
-            latencies[tier] = best
-            outputs[tier] = execution.outputs
-        for tier in ("interpreted", "compiled"):
+            latencies[path] = best
+            outputs[path] = execution.outputs
+        for path in ("interpreted", "compiled"):
             for output, data in outputs["functional"].items():
-                if not np.array_equal(outputs[tier][output], data):
+                if not np.array_equal(outputs[path][output], data):
                     raise AssertionError(
-                        f"{name}: {tier} output {output!r} diverged from "
+                        f"{name}: {path} output {output!r} diverged from "
                         "the functional oracle"
                     )
         result.rows.append(
@@ -820,7 +824,7 @@ def figure_execution_tiers(
 
 
 # --------------------------------------------------------------------- #
-# Worker scaling — the multi-worker serving tier under mixed traffic
+# Worker scaling — the multi-worker serving layer under mixed traffic
 # --------------------------------------------------------------------- #
 def figure_worker_scaling(
     elements: int = 256,
@@ -853,7 +857,7 @@ def figure_worker_scaling(
         name="Worker scaling",
         description=(
             f"Mixed traffic over {len(families)} program families "
-            "through the multi-worker serving tier"
+            "through the multi-worker serving layer"
         ),
     )
     for workers in worker_counts:

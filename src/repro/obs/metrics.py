@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 #: Bucket-boundary growth factor; matches ``repro.serve.stats`` so merged
-#: quantiles agree with the serving tier's own histograms (~7% resolution).
+#: quantiles agree with the serving layer's own histograms (~7% resolution).
 _GROWTH = 1.07
 _LOG_GROWTH = math.log(_GROWTH)
 #: Smallest resolvable observation.  Observations are recorded in seconds
@@ -91,7 +91,7 @@ class Histogram:
     """Log-bucketed streaming histogram with quantile estimation.
 
     Same bucket math as ``repro.serve.stats.LatencyHistogram`` (growth
-    ``1.07``) so quantiles computed here line up with the serving tier's
+    ``1.07``) so quantiles computed here line up with the serving layer's
     summaries, but label-aware and unit-agnostic.
     """
 

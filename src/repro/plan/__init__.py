@@ -1,7 +1,7 @@
 """Execution planning: the :class:`ExecutionPlan` front door + auto-planner.
 
 One frozen :class:`ExecutionPlan` value describes how a recorded program
-executes (shards, hierarchy placement, optimizer, tier) — replacing the
+executes (shards, hierarchy placement, optimizer) — replacing the
 scattered per-entry-point keyword knobs — and :func:`plan_program` picks
 that configuration automatically by pricing candidates with the analytic
 makespan model.  See :mod:`repro.plan.execution_plan` and

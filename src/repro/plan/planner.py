@@ -2,7 +2,7 @@
 
 Given a recorded program and an engine, :func:`plan_program` enumerates
 candidate execution configurations — shard counts, channel/rank
-placements, optimizer on/off, execution tier — prices each with the
+placements, optimizer on/off — prices each with the
 memoized analytic makespan model (the same
 :func:`~repro.controller.dispatch.merged_makespan_ns` /
 :func:`~repro.controller.hierarchy.hierarchical_makespan_ns` the
@@ -66,10 +66,11 @@ class CostPriors:
     The analytic model prices *modelled DRAM time*; picking between
     near-tied candidates additionally needs the *host* cost a candidate
     implies — optimizing the program, compiling shard replicas, and the
-    per-run Python dispatch of each tier.  These priors start from
-    conservative estimates and blend in measurements taken while the
-    planner prepares candidates, so long-running sessions converge to
-    the machine's real costs.
+    per-instruction run dispatch (the compiled closure's on batched
+    backends, the interpreted walk's on the functional oracle).  These
+    priors start from conservative estimates and blend in measurements
+    taken while the planner prepares candidates, so long-running
+    sessions converge to the machine's real costs.
     """
 
     optimize_s_per_call: float = 2.0e-4
@@ -129,7 +130,7 @@ class CandidatePlan:
     #: Modelled DRAM makespan of executing the plan once.
     predicted_makespan_ns: float
     #: Estimated host wall-clock to prepare and run the plan once
-    #: (optimize + per-replica compiles + tier dispatch), from the priors.
+    #: (optimize + per-replica compiles + run dispatch), from the priors.
     wall_cost_s: float
 
 
@@ -183,7 +184,7 @@ class PlannedExecution:
     report: PlannerReport
 
 
-#: (structure key, engine config, modes, batched, optimize pin, tier pin)
+#: (structure key, engine config, modes, batched, optimize pin)
 #: -> PlannedExecution.  A hit returns the chosen plan with zero
 #: analytic-model calls.
 _PLAN_MEMO: BoundedMemo[PlannedExecution] = BoundedMemo(512)
@@ -212,7 +213,6 @@ def plan_memo_key(
         tuple(modes),
         supports_batched,
         request.optimize,
-        request.tier,
     )
 
 
@@ -254,14 +254,6 @@ def _placements(
     return placements
 
 
-def _tiers(request: ExecutionPlan, supports_batched: bool) -> tuple[str, ...]:
-    if request.tier != "auto":
-        return (request.tier,)
-    if supports_batched:
-        return ("compiled", "interpreted")
-    return ("interpreted",)
-
-
 def _template_for(
     controller: "PlutoController",
     calls: Sequence["ApiCall"],
@@ -276,22 +268,9 @@ def _template_for(
     return controller.trace_template(compiled, structure_key=key)
 
 
-def _tier_run_cost_s(tier: str, instructions: int, priors: CostPriors) -> float:
-    per_instruction = (
-        priors.compiled_s_per_instruction
-        if tier == "compiled"
-        else priors.interpreted_s_per_instruction
-    )
-    return instructions * per_instruction
-
-
-def _complexity(plan: ExecutionPlan) -> tuple[int, int, int]:
+def _complexity(plan: ExecutionPlan) -> tuple[int, int]:
     """Tie-break ordering: prefer simpler plans at equal cost."""
-    return (
-        1 if plan.hierarchical else 0,
-        plan.effective_shards,
-        0 if plan.tier == "compiled" else 1,
-    )
+    return (1 if plan.hierarchical else 0, plan.effective_shards)
 
 
 def _verify_chosen(
@@ -342,9 +321,15 @@ def _enumerate(
     from repro.controller.hierarchy import hierarchical_makespan_ns
     from repro.opt.pipeline import optimize_cached
 
-    controller = PlutoController(engine, backend="vectorized", jit=False)
+    controller = PlutoController(engine, backend="vectorized")
     geometry = engine.geometry
-    tiers = _tiers(request, supports_batched)
+    # Batched backends run the compiled closure; the functional oracle
+    # walks the program instruction by instruction.
+    run_s_per_instruction = (
+        priors.compiled_s_per_instruction
+        if supports_batched
+        else priors.interpreted_s_per_instruction
+    )
     optimize_options = (
         (bool(request.optimize),)
         if request.optimize is not None
@@ -401,20 +386,15 @@ def _enumerate(
                 continue
             whole = template_of(plan_calls, size if size is not None else -1)
             compile_cost_s = len(plan_calls) * priors.compile_s_per_call
-            for tier in tiers:
-                candidates.append(
-                    CandidatePlan(
-                        plan=ExecutionPlan(
-                            shards=1, optimize=optimize, tier=tier
-                        ),
-                        predicted_makespan_ns=whole.total_latency_ns,
-                        wall_cost_s=optimize_cost_s
-                        + compile_cost_s
-                        + _tier_run_cost_s(
-                            tier, whole.instructions_executed, priors
-                        ),
-                    )
+            candidates.append(
+                CandidatePlan(
+                    plan=ExecutionPlan(shards=1, optimize=optimize),
+                    predicted_makespan_ns=whole.total_latency_ns,
+                    wall_cost_s=optimize_cost_s
+                    + compile_cost_s
+                    + whole.instructions_executed * run_s_per_instruction,
                 )
+            )
         if size is None:
             continue
 
@@ -442,18 +422,15 @@ def _enumerate(
                 compile_cost_s = (
                     distinct * len(plan_calls) * priors.compile_s_per_call
                 )
-                for tier in tiers:
-                    candidates.append(
-                        CandidatePlan(
-                            plan=ExecutionPlan(
-                                shards=shards, optimize=optimize, tier=tier
-                            ),
-                            predicted_makespan_ns=predicted,
-                            wall_cost_s=optimize_cost_s
-                            + compile_cost_s
-                            + _tier_run_cost_s(tier, instructions, priors),
-                        )
+                candidates.append(
+                    CandidatePlan(
+                        plan=ExecutionPlan(shards=shards, optimize=optimize),
+                        predicted_makespan_ns=predicted,
+                        wall_cost_s=optimize_cost_s
+                        + compile_cost_s
+                        + instructions * run_s_per_instruction,
                     )
+                )
 
         if "hierarchy" in effective_modes:
             for channels, ranks in _placements(
@@ -486,23 +463,21 @@ def _enumerate(
                         channels if channels != geometry.channels else None
                     )
                     plan_ranks = ranks if ranks != geometry.ranks else None
-                    for tier in tiers:
-                        candidates.append(
-                            CandidatePlan(
-                                plan=ExecutionPlan(
-                                    shards=shards,
-                                    hierarchical=True,
-                                    channels=plan_channels,
-                                    ranks=plan_ranks,
-                                    optimize=optimize,
-                                    tier=tier,
-                                ),
-                                predicted_makespan_ns=predicted,
-                                wall_cost_s=optimize_cost_s
-                                + compile_cost_s
-                                + _tier_run_cost_s(tier, instructions, priors),
-                            )
+                    candidates.append(
+                        CandidatePlan(
+                            plan=ExecutionPlan(
+                                shards=shards,
+                                hierarchical=True,
+                                channels=plan_channels,
+                                ranks=plan_ranks,
+                                optimize=optimize,
+                            ),
+                            predicted_makespan_ns=predicted,
+                            wall_cost_s=optimize_cost_s
+                            + compile_cost_s
+                            + instructions * run_s_per_instruction,
                         )
+                    )
     return candidates, calls_by_optimize
 
 
@@ -550,13 +525,13 @@ def plan_program(
 ) -> PlannedExecution:
     """Pick the cheapest execution configuration for ``calls``.
 
-    ``request`` is the auto plan carrying any pinned ``optimize`` /
-    ``tier``; ``modes`` restricts the searched geometry families
+    ``request`` is the auto plan carrying any pinned ``optimize``;
+    ``modes`` restricts the searched geometry families
     (``"single"``, ``"banks"``, ``"hierarchy"``) — the hierarchical
     front door passes ``("hierarchy",)`` so auto stays hierarchical.
     ``supports_batched`` describes the backend that will execute the
     plan (the functional oracle cannot fuse shards or run the compiled
-    tier).  ``key`` is the program structure key when the caller already
+    closure).  ``key`` is the program structure key when the caller already
     holds it (``None`` meaning "known unhashable").
 
     Chosen plans are memoized on the program structure key plus the

@@ -200,7 +200,7 @@ class Executors:
     """Warm executors for one engine, built on first use.
 
     Keyed on the backend selection plus the plan facets that shape an
-    executor (tier, dispatcher kind, hierarchy placement), so a caller
+    executor (dispatcher kind, hierarchy placement), so a caller
     that keeps one instance reuses LUT gather arrays, trace templates
     and scheduler memos across requests.  Backend names share an
     executor; distinct backend instances each get their own.
@@ -222,31 +222,28 @@ class Executors:
     def _backend_key(backend: "str | ExecutionBackend") -> object:
         return backend if isinstance(backend, str) else id(backend)
 
-    def controller(
-        self, backend: "str | ExecutionBackend", *, jit: bool = True
-    ) -> "PlutoController":
+    def controller(self, backend: "str | ExecutionBackend") -> "PlutoController":
         """The single-bank controller."""
         from repro.controller.executor import PlutoController
 
         return self._get(
-            ("controller", self._backend_key(backend), jit),
-            lambda: PlutoController(self.engine, backend=backend, jit=jit),
+            ("controller", self._backend_key(backend)),
+            lambda: PlutoController(self.engine, backend=backend),
         )
 
-    def banks(self, backend: "str | ExecutionBackend", *, jit: bool = True) -> "ParallelDispatcher":
+    def banks(self, backend: "str | ExecutionBackend") -> "ParallelDispatcher":
         """The bank-parallel dispatcher."""
         from repro.controller.dispatch import ParallelDispatcher
 
         return self._get(
-            ("banks", self._backend_key(backend), jit),
-            lambda: ParallelDispatcher(self.engine, backend=backend, jit=jit),
+            ("banks", self._backend_key(backend)),
+            lambda: ParallelDispatcher(self.engine, backend=backend),
         )
 
     def hierarchy(
         self,
         backend: "str | ExecutionBackend",
         *,
-        jit: bool = True,
         channels: int | None = None,
         ranks: int | None = None,
     ) -> "HierarchicalDispatcher":
@@ -254,9 +251,9 @@ class Executors:
         from repro.controller.hierarchy import HierarchicalDispatcher
 
         return self._get(
-            ("hierarchy", self._backend_key(backend), jit, channels, ranks),
+            ("hierarchy", self._backend_key(backend), channels, ranks),
             lambda: HierarchicalDispatcher(
-                self.engine, backend=backend, jit=jit, channels=channels, ranks=ranks
+                self.engine, backend=backend, channels=channels, ranks=ranks
             ),
         )
 
@@ -293,18 +290,17 @@ def execute(
     report and the planner report with the measured makespan.
     """
     plan = prepared.plan
-    jit = plan.tier != "interpreted"
     result: ExecutionResult
     if plan.hierarchical:
         result = executors.hierarchy(
-            prepared.backend, jit=jit, channels=plan.channels, ranks=plan.ranks
+            prepared.backend, channels=plan.channels, ranks=plan.ranks
         ).execute(prepared.calls, inputs, shards=plan.shards)
     elif plan.effective_shards > 1:
-        result = executors.banks(prepared.backend, jit=jit).execute(
+        result = executors.banks(prepared.backend).execute(
             prepared.calls, inputs, shards=plan.effective_shards
         )
     else:
-        result = executors.controller(prepared.backend, jit=jit).execute(
+        result = executors.controller(prepared.backend).execute(
             _compiled(prepared), dict(inputs), bank=bank, structure_key=prepared.structure_key
         )
     return _annotate(result, prepared)
@@ -330,7 +326,7 @@ def execute_fused(
     leader = prepared[0]
     if leader.sharded:
         return None
-    controller = executors.controller(leader.backend, jit=leader.plan.tier != "interpreted")
+    controller = executors.controller(leader.backend)
     names = set(batch[0])
     if not controller.backend.supports_batched or any(set(inputs) != names for inputs in batch[1:]):
         return None

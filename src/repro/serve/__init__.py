@@ -1,4 +1,4 @@
-"""The multi-worker serving tier.
+"""The multi-worker serving layer.
 
 Layered above :class:`~repro.api.service.PlutoService`:
 

@@ -1,4 +1,4 @@
-"""Bulk client helpers for the serving tiers.
+"""Bulk client helpers for the serving layers.
 
 Benchmarks and examples kept hand-rolling the same submit/gather loop
 around :class:`~repro.serve.pool.PlutoWorkerPool` futures; this module

@@ -1,4 +1,4 @@
-"""The multi-worker serving tier: a dispatcher over N worker processes.
+"""The multi-worker serving layer: a dispatcher over N worker processes.
 
 :class:`PlutoWorkerPool` scales the single-process
 :class:`~repro.api.service.PlutoService` across CPU cores: each worker

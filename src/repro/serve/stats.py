@@ -1,10 +1,10 @@
-"""Streaming latency percentiles for the serving tier.
+"""Streaming latency percentiles for the serving layer.
 
 Per-request wall-clock means hide tail behaviour, and a pool of worker
 processes cannot ship every sample back to the dispatcher.  This module
 provides the standard production answer: a **log-bucketed histogram**
 (:class:`LatencyHistogram`) with O(1) recording, bounded memory, ~7%
-value resolution, and — the property the multi-worker tier depends on —
+value resolution, and — the property the multi-worker layer depends on —
 loss-free **merging**, so each worker accumulates locally and the
 dispatcher folds the worker histograms into pool-wide p50/p95/p99.
 

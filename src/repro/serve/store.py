@@ -65,7 +65,7 @@ __all__ = [
 
 #: Bump when the artifact layout (or the meaning of any stored product)
 #: changes; entries written under another schema are discarded as stale.
-ARTIFACT_SCHEMA_VERSION = 2
+ARTIFACT_SCHEMA_VERSION = 3
 
 
 #: Process-wide counters surfaced as ``cache_stats()["shared_store"]``.
@@ -174,11 +174,11 @@ def _resolve_engine(engine: "PlutoEngine | None") -> "PlutoEngine":
 def _unpin_closures(
     artifacts: WarmArtifacts,
 ) -> list[tuple["CompiledProgram", object]]:
-    """Detach the JIT executables the controller pins on compiled programs.
+    """Detach the closures the controller pins on compiled programs.
 
     Once a program has been executed, its memoized
     :class:`~repro.compiler.lowering.CompiledProgram` carries the
-    generated ``_jit_executable`` closure in its ``__dict__`` — generated
+    generated ``_executable`` closure in its ``__dict__`` — generated
     code that cannot pickle (and would be wrong to persist anyway; it
     regenerates from the program at install).  Returns the detached
     pairs so the caller can re-pin them after serialization.
@@ -190,7 +190,7 @@ def _unpin_closures(
     ):
         if compiled is None:
             continue
-        executable = compiled.__dict__.pop("_jit_executable", None)
+        executable = compiled.__dict__.pop("_executable", None)
         if executable is not None:
             pinned.append((compiled, executable))
     return pinned
@@ -235,7 +235,7 @@ def collect_artifacts(
         )
     executed_key = prepared.structure_key
     compiled, _ = compile_cached_with_key(prepared.calls, executed_key)
-    controller = PlutoController(engine, backend="vectorized", jit=False)
+    controller = PlutoController(engine, backend="vectorized")
     template = controller.trace_template(compiled, structure_key=executed_key)
 
     shard_products: list[ShardArtifacts] = []
@@ -337,7 +337,7 @@ def install_artifacts(
         seed_program_cache(shard.executed_key, shard.compiled)
         seed_trace_template(shard.executed_key, engine.config, shard.template)
         seed_compiled_exec(shard.compiled, structure_key=shard.executed_key)
-    # Regenerate the fast-tier products that cannot be pickled: the
+    # Regenerate the fast-path products that cannot be pickled: the
     # whole-program closure (cheap codegen from the stored program) and
     # the read-only LUT gather arrays.
     seed_compiled_exec(
@@ -357,7 +357,7 @@ def install_artifacts(
 
 
 def _exercise(artifacts: WarmArtifacts, engine: "PlutoEngine") -> None:
-    """Dry-run every installed program once through the execution tier."""
+    """Dry-run every installed program once through its compiled closure."""
     from repro.controller.executor import PlutoController
 
     controller = PlutoController(engine, backend="vectorized")
@@ -435,7 +435,7 @@ class SharedArtifactStore:
             )
         finally:
             for compiled, executable in pinned:
-                compiled.__dict__["_jit_executable"] = executable
+                compiled.__dict__["_executable"] = executable
         scratch.replace(target)
         _STATS["saved"] += 1
         return target
@@ -490,7 +490,7 @@ class SharedArtifactStore:
             path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------ #
-    # The two serving-tier operations
+    # The two serving-layer operations
     # ------------------------------------------------------------------ #
     def export(
         self,

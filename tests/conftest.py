@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
@@ -61,3 +62,10 @@ def any_design(request) -> PlutoDesign:
 def bsa_engine() -> PlutoEngine:
     """A default pLUTo-BSA engine on DDR4."""
     return PlutoEngine(PlutoConfig(design=PlutoDesign.BSA))
+
+
+# A deeper run of the compiled-closure differential fuzzer
+# (``test_optimizer_differential.py::test_differential_compiled_tier``):
+# ``pytest --hypothesis-profile=compiled-deep``.  Every other Hypothesis
+# test pins its own ``max_examples`` and is unaffected by the profile.
+settings.register_profile("compiled-deep", max_examples=100, deadline=None)

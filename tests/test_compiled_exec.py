@@ -1,15 +1,18 @@
-"""Tests for the whole-program compiled execution tier (backend/compiled.py).
+"""Tests for whole-program compiled execution (backend/compiled.py).
 
-Contract: executing through the compiled tier — one cached NumPy closure
-per program structure — is indistinguishable from the per-instruction
-interpreted vectorized walk and from the functional oracle: bit-identical
-outputs and registers, identical command traces and totals, identical
-error behavior (messages included).  The closure cache is bounded,
-surfaced through ``PlutoSession.cache_stats()``, and covered by
-``clear_all_caches()``.
+Contract: a keyed execution — one cached NumPy closure per program
+structure — is indistinguishable from the per-instruction walk a keyless
+execution takes and from the functional oracle: bit-identical outputs
+and registers, identical command traces and totals, identical error
+behavior (messages included).  The closure cache is bounded, surfaced
+through ``PlutoSession.cache_stats()``, and covered by
+``clear_all_caches()``.  A lowering error is never walked around: it
+raises where execution errors surface.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -62,6 +65,32 @@ def _mixed_program(elements: int = ELEMENTS):
     return session, inputs
 
 
+def _partial_move_program():
+    """An ISA-level program with a partial-row move; returns it and ``big``."""
+    from repro.api.handles import PlutoVector
+    from repro.compiler.lowering import CompiledProgram
+    from repro.isa.instructions import PlutoMove, PlutoRowAlloc
+    from repro.isa.program import PlutoProgram
+    from repro.isa.registers import RegisterFile
+
+    register_file = RegisterFile()
+    small = register_file.allocate_row(8, 8)
+    big = register_file.allocate_row(16, 8)
+    program = PlutoProgram()
+    program.append(PlutoRowAlloc(destination=small, size_elements=8, bit_width=8))
+    program.append(PlutoRowAlloc(destination=big, size_elements=16, bit_width=8))
+    program.append(PlutoMove(destination=big, source=small))
+    compiled = CompiledProgram(
+        program=program,
+        register_file=register_file,
+        vector_bindings={"small": small, "big": big},
+        lut_bindings={},
+        external_inputs=[PlutoVector("small", 8, 8)],
+        outputs=[PlutoVector("big", 16, 8)],
+    )
+    return compiled, big
+
+
 def _assert_identical(result, reference):
     assert set(result.outputs) == set(reference.outputs)
     for name, data in reference.outputs.items():
@@ -84,11 +113,10 @@ class TestCompiledParity:
         compiled, key = compile_cached_with_key(session.calls)
         assert key is not None
         engine = PlutoEngine(PlutoConfig(design=any_design))
-        jit = PlutoController(engine, backend="vectorized")
-        interp = PlutoController(engine, backend="vectorized", jit=False)
+        controller = PlutoController(engine, backend="vectorized")
         oracle = PlutoController(engine, backend="functional")
-        result = jit.execute(compiled, dict(inputs), structure_key=key)
-        _assert_identical(result, interp.execute(compiled, dict(inputs), structure_key=key))
+        result = controller.execute(compiled, dict(inputs), structure_key=key)
+        _assert_identical(result, controller.execute(compiled, dict(inputs)))
         _assert_identical(result, oracle.execute(compiled, dict(inputs), structure_key=key))
 
     @pytest.mark.parametrize(
@@ -97,35 +125,26 @@ class TestCompiledParity:
     def test_workload_programs_match(self, name):
         workload = workload_program(name, elements=64, seed=4)
         compiled, key = compile_cached_with_key(workload.session.calls)
-        engine = PlutoEngine(PlutoConfig())
-        jit = PlutoController(engine, backend="vectorized")
-        interp = PlutoController(engine, backend="vectorized", jit=False)
-        result = jit.execute(compiled, dict(workload.inputs), structure_key=key)
-        reference = interp.execute(
-            compiled, dict(workload.inputs), structure_key=key
-        )
-        _assert_identical(result, reference)
+        controller = PlutoController(PlutoEngine(PlutoConfig()), backend="vectorized")
+        result = controller.execute(compiled, dict(workload.inputs), structure_key=key)
+        _assert_identical(result, controller.execute(compiled, dict(workload.inputs)))
 
     def test_serve_bails_to_generic_path_on_extra_seeds(self):
         """Seeding a non-external register takes run_finals, same results."""
         session, inputs = _mixed_program(32)
         compiled, key = compile_cached_with_key(session.calls)
         seeded = dict(inputs, tmp=np.zeros(32, dtype=np.uint64))
-        engine = PlutoEngine(PlutoConfig())
-        jit = PlutoController(engine, backend="vectorized")
-        interp = PlutoController(engine, backend="vectorized", jit=False)
+        controller = PlutoController(PlutoEngine(PlutoConfig()), backend="vectorized")
         _assert_identical(
-            jit.execute(compiled, dict(seeded), structure_key=key),
-            interp.execute(compiled, dict(seeded), structure_key=key),
+            controller.execute(compiled, dict(seeded), structure_key=key),
+            controller.execute(compiled, dict(seeded)),
         )
 
     def test_error_behavior_matches_interpreted(self):
         """Same exception type AND message on every invalid-input shape."""
         workload = workload_program("image", elements=32, seed=0)
         compiled, key = compile_cached_with_key(workload.session.calls)
-        engine = PlutoEngine(PlutoConfig())
-        jit = PlutoController(engine, backend="vectorized")
-        interp = PlutoController(engine, backend="vectorized", jit=False)
+        controller = PlutoController(PlutoEngine(PlutoConfig()), backend="vectorized")
         cases = [
             # Signed -1 wraps to 2^64-1 as uint64: the width check on the
             # caller's dtype passes (max is -1), so the LUT query must
@@ -138,9 +157,9 @@ class TestCompiledParity:
         ]
         for inputs in cases:
             with pytest.raises((ExecutionError, LUTError)) as reference:
-                interp.execute(compiled, dict(inputs), structure_key=key)
+                controller.execute(compiled, dict(inputs))
             with pytest.raises(type(reference.value)) as result:
-                jit.execute(compiled, dict(inputs), structure_key=key)
+                controller.execute(compiled, dict(inputs), structure_key=key)
             assert str(result.value) == str(reference.value)
 
     def test_functional_backend_never_compiles(self):
@@ -172,31 +191,7 @@ class TestCompiledFused:
         """A partial-row move (ISA level; the API forbids it) keeps the
         destination tail via slice assignment — which has no stacked
         equivalent, so the executable refuses fused execution."""
-        from repro.api.handles import PlutoVector
-        from repro.compiler.lowering import CompiledProgram
-        from repro.isa.instructions import PlutoMove, PlutoRowAlloc
-        from repro.isa.program import PlutoProgram
-        from repro.isa.registers import RegisterFile
-
-        register_file = RegisterFile()
-        small = register_file.allocate_row(8, 8)
-        big = register_file.allocate_row(16, 8)
-        program = PlutoProgram()
-        program.append(
-            PlutoRowAlloc(destination=small, size_elements=8, bit_width=8)
-        )
-        program.append(
-            PlutoRowAlloc(destination=big, size_elements=16, bit_width=8)
-        )
-        program.append(PlutoMove(destination=big, source=small))
-        compiled = CompiledProgram(
-            program=program,
-            register_file=register_file,
-            vector_bindings={"small": small, "big": big},
-            lut_bindings={},
-            external_inputs=[PlutoVector("small", 8, 8)],
-            outputs=[PlutoVector("big", 16, 8)],
-        )
+        compiled, big = _partial_move_program()
         executable = compile_program(compiled)
         assert not executable.supports_fused
         with pytest.raises(ExecutionError, match="fused"):
@@ -208,6 +203,63 @@ class TestCompiledFused:
         merged = by_slot[big.index]
         assert np.array_equal(merged[:8], np.arange(8))
         assert not merged[8:].any()  # the zero-initialized tail survives
+
+    @pytest.mark.parametrize("key", [("partial-move-test",), None])
+    def test_fused_runs_unstackable_and_keyless_programs_row_by_row(self, key):
+        """Without a stackable closure, a fused batch executes each row
+        through execute(): same outputs, registers and banked traces."""
+        compiled, _ = _partial_move_program()
+        controller = PlutoController(PlutoEngine(PlutoConfig()), backend="vectorized")
+        stacked = {"small": np.arange(24, dtype=np.uint64).reshape(3, 8)}
+        banks = [0, 2, 5]
+        results = controller.execute_fused(
+            compiled, stacked, banks=banks, structure_key=key
+        )
+        assert len(results) == 3
+        for row, bank, result in zip(stacked["small"], banks, results):
+            _assert_identical(
+                result, controller.execute(compiled, {"small": row}, bank=bank)
+            )
+        with pytest.raises(ExecutionError, match="fused input"):
+            controller.execute_fused(
+                compiled, {"small": np.zeros(8, dtype=np.uint64)}, banks=[0]
+            )
+
+
+class TestLoweringErrors:
+    """A program that fails to lower raises; it is never walked around."""
+
+    @pytest.fixture
+    def broken_lowering(self, monkeypatch):
+        def _lower(compiled):
+            raise ExecutionError("lowering exploded")
+
+        clear_all_caches()
+        monkeypatch.setattr(compiled_module, "_lower", _lower)
+        yield
+        clear_all_caches()
+
+    def test_session_run_raises_every_time(self, broken_lowering):
+        session, inputs = _mixed_program(40)
+        session.backend = "vectorized"
+        for _ in range(2):  # the failure is not cached as a verdict
+            with pytest.raises(ExecutionError, match="lowering exploded"):
+                session.run(inputs)
+        assert compiled_exec_stats()["size"] == 0
+
+    def test_service_request_fails_on_its_future(self, broken_lowering):
+        session, inputs = _mixed_program(40)
+        session.backend = "vectorized"
+
+        async def main():
+            async with session.serve() as service:
+                with pytest.raises(ExecutionError, match="lowering exploded"):
+                    await service.submit(inputs)
+            return service.stats
+
+        stats = asyncio.run(main())
+        assert stats.failed == 1
+        assert stats.served == 0
 
 
 class TestCompiledCache:

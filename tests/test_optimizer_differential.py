@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api.handles import ApiCall
 from repro.api.luts import add_lut
@@ -26,6 +28,9 @@ from repro.opt.analysis import natural_output_names
 from repro.plan import ExecutionPlan
 
 ELEMENTS = 24
+
+#: Tier-1 example count per design for the compiled-closure fuzzer.
+COMPILED_FUZZ_EXAMPLES = 3
 
 #: A small pool of 256-entry tables; ``dup`` entries are content-equal
 #: twins under different names, so programs exercise LUT deduplication.
@@ -193,31 +198,51 @@ def test_functional_sharded_optimized_composes():
         assert np.array_equal(reference[name], sharded[name])
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_differential_compiled_tier(seed, any_design):
-    """The whole-program compiled tier is bit-identical — outputs,
-    registers, AND command traces — to the interpreted vectorized walk
-    and the functional oracle, on both the raw and the optimized program
-    of every fuzzed shape, with fused sharded execution matching too."""
+def _compiled_fuzz_examples() -> int:
+    """Examples per design for the compiled-closure fuzzer.
+
+    A few in tier-1; the ``compiled-deep`` profile (registered in
+    ``tests/conftest.py``, selected with ``--hypothesis-profile``) runs
+    its own, larger count.
+    """
+    if settings.get_current_profile_name() == "compiled-deep":
+        return settings.default.max_examples
+    return COMPILED_FUZZ_EXAMPLES
+
+
+@settings(
+    max_examples=_compiled_fuzz_examples(),
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    operations=st.integers(min_value=1, max_value=16),
+)
+def test_differential_compiled_tier(seed, operations, any_design):
+    """Every generated program lowers, and its compiled closure is
+    bit-identical — outputs, registers, AND command traces — to the
+    per-instruction walk and the functional oracle, on both the raw and
+    the optimized program, with fused sharded execution matching too."""
     from repro.api.session import compile_cached_with_key
+    from repro.backend.compiled import compile_program
     from repro.controller.dispatch import ParallelDispatcher
     from repro.controller.executor import PlutoController
 
-    rng = np.random.default_rng(3000 + seed)
-    session, inputs, declared = random_program(rng)
+    rng = np.random.default_rng(seed)
+    session, inputs, declared = random_program(rng, operations=operations)
     optimized = optimize_program(session.calls, outputs=declared)
     engine = PlutoEngine(PlutoConfig(design=any_design))
-    jit = PlutoController(engine, backend="vectorized")
-    interp = PlutoController(engine, backend="vectorized", jit=False)
+    controller = PlutoController(engine, backend="vectorized")
     oracle = PlutoController(engine, backend="functional")
     for calls in (list(session.calls), list(optimized.calls)):
         compiled, key = compile_cached_with_key(calls)
+        assert key is not None
+        compile_program(compiled)  # lowering never fails on a valid program
         external = _external_inputs(calls, inputs)
-        result = jit.execute(compiled, dict(external), structure_key=key)
-        for reference in (
-            interp.execute(compiled, dict(external), structure_key=key),
-            oracle.execute(compiled, dict(external), structure_key=key),
-        ):
+        result = controller.execute(compiled, dict(external), structure_key=key)
+        functional = oracle.execute(compiled, dict(external))
+        for reference in (controller.execute(compiled, dict(external)), functional):
             for name, data in reference.registers.items():
                 assert np.array_equal(result.registers[name], data), name
             assert (
@@ -234,18 +259,18 @@ def test_differential_compiled_tier(seed, any_design):
                 (cmd.kind, cmd.bank, cmd.rows)
                 for cmd in reference.trace.commands
             ]
-        # Fused sharded execution routes through the compiled closure
-        # when the program supports it and must match the per-shard
-        # functional oracle exactly.
+        # Fused sharded execution routes through the compiled closure:
+        # its outputs match the functional oracle and its schedule the
+        # per-shard walk's.
         fused = ParallelDispatcher(engine, fused=True).execute(
             calls, external, shards=3
         )
-        sharded_oracle = ParallelDispatcher(engine, backend="functional").execute(
+        per_shard = ParallelDispatcher(engine, fused=False).execute(
             calls, external, shards=3
         )
-        for name, data in sharded_oracle.outputs.items():
+        for name, data in functional.outputs.items():
             assert np.array_equal(fused.outputs[name], data), name
-        assert fused.makespan_ns == sharded_oracle.makespan_ns
+        assert fused.makespan_ns == per_shard.makespan_ns
 
 
 def test_corpus_actually_optimizes_something():

@@ -81,8 +81,6 @@ class TestExecutionPlanValidation:
         with pytest.raises(ConfigurationError):
             ExecutionPlan(mode="fastest")
         with pytest.raises(ConfigurationError):
-            ExecutionPlan(tier="gpu")
-        with pytest.raises(ConfigurationError):
             ExecutionPlan(hierarchical=True, channels=0)
 
 
@@ -201,14 +199,6 @@ class TestAutoMatchesStatic:
                 assert np.array_equal(static.outputs[name], reference.outputs[name])
         for name in reference.outputs:
             assert np.array_equal(auto.outputs[name], reference.outputs[name])
-
-    def test_interpreted_tier_plan_matches_compiled(self):
-        session, inputs = _add_program(256)
-        compiled = session.run(inputs, plan=ExecutionPlan(tier="compiled"))
-        interpreted = session.run(inputs, plan=ExecutionPlan(tier="interpreted"))
-        for name in compiled.outputs:
-            assert np.array_equal(compiled.outputs[name], interpreted.outputs[name])
-        assert compiled.latency_ns == interpreted.latency_ns
 
     @pytest.mark.parametrize(
         "plan",
