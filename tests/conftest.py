@@ -65,7 +65,7 @@ def bsa_engine() -> PlutoEngine:
 
 
 # A deeper run of the compiled-closure differential fuzzer
-# (``test_optimizer_differential.py::test_differential_compiled_tier``):
+# (``test_optimizer_differential.py::test_differential_compiled_fuzz``):
 # ``pytest --hypothesis-profile=compiled-deep``.  Every other Hypothesis
 # test pins its own ``max_examples`` and is unaffected by the profile.
 settings.register_profile("compiled-deep", max_examples=100, deadline=None)

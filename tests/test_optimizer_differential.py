@@ -210,16 +210,7 @@ def _compiled_fuzz_examples() -> int:
     return COMPILED_FUZZ_EXAMPLES
 
 
-@settings(
-    max_examples=_compiled_fuzz_examples(),
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    operations=st.integers(min_value=1, max_value=16),
-)
-def test_differential_compiled_tier(seed, operations, any_design):
+def _assert_compiled_matches(rng, operations, design) -> None:
     """Every generated program lowers, and its compiled closure is
     bit-identical — outputs, registers, AND command traces — to the
     per-instruction walk and the functional oracle, on both the raw and
@@ -229,10 +220,9 @@ def test_differential_compiled_tier(seed, operations, any_design):
     from repro.controller.dispatch import ParallelDispatcher
     from repro.controller.executor import PlutoController
 
-    rng = np.random.default_rng(seed)
     session, inputs, declared = random_program(rng, operations=operations)
     optimized = optimize_program(session.calls, outputs=declared)
-    engine = PlutoEngine(PlutoConfig(design=any_design))
+    engine = PlutoEngine(PlutoConfig(design=design))
     controller = PlutoController(engine, backend="vectorized")
     oracle = PlutoController(engine, backend="functional")
     for calls in (list(session.calls), list(optimized.calls)):
@@ -271,6 +261,26 @@ def test_differential_compiled_tier(seed, operations, any_design):
         for name, data in functional.outputs.items():
             assert np.array_equal(fused.outputs[name], data), name
         assert fused.makespan_ns == per_shard.makespan_ns
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_differential_compiled_tier(seed, any_design):
+    """A pinned corpus of default-length programs through the closure."""
+    _assert_compiled_matches(np.random.default_rng(3000 + seed), 10, any_design)
+
+
+@settings(
+    max_examples=_compiled_fuzz_examples(),
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    operations=st.integers(min_value=1, max_value=16),
+)
+def test_differential_compiled_fuzz(seed, operations, any_design):
+    """The same property over Hypothesis-drawn seeds and lengths 1–16."""
+    _assert_compiled_matches(np.random.default_rng(seed), operations, any_design)
 
 
 def test_corpus_actually_optimizes_something():
