@@ -152,19 +152,33 @@ def operand_width_diagnostic(
 
 
 def shards_overcommit_diagnostic(
-    shards: int, num_banks: int
+    shards: int, num_banks: int, *, channels: int = 1, ranks: int = 1
 ) -> Diagnostic | None:
-    """The shards-beyond-banks finding, or ``None`` when the plan fits."""
-    if shards <= num_banks:
+    """The shards-beyond-banks finding, or ``None`` when the plan fits.
+
+    The capacity is ``channels x ranks x num_banks``: one shard per bank
+    of every rank the placement spans (one rank's banks by default).
+    """
+    capacity = channels * ranks * num_banks
+    if shards <= capacity:
         return None
+    if channels * ranks == 1:
+        message = (
+            f"cannot run {shards} shards bank-parallel on a module with "
+            f"{num_banks} banks"
+        )
+        hint = f"use at most {num_banks} shards, or a larger module"
+    else:
+        message = (
+            f"cannot run {shards} shards on a device offering {capacity} "
+            f"banks ({channels} channels x {ranks} ranks x {num_banks} banks)"
+        )
+        hint = "lower the shard count or widen the geometry"
     return Diagnostic(
         severity=Severity.ERROR,
         code="shards-overcommit",
-        message=(
-            f"cannot run {shards} shards bank-parallel on a module with "
-            f"{num_banks} banks"
-        ),
-        hint=f"use at most {num_banks} shards, or a larger module",
+        message=message,
+        hint=hint,
     )
 
 
@@ -810,24 +824,32 @@ def verify_shard_plans(
     plans: Sequence[Any],
     *,
     num_banks: int | None = None,
+    channels: int = 1,
+    ranks: int = 1,
     subject: str = "shard plan",
 ) -> VerificationReport:
     """Verify dispatch plans: slice aliasing, bank placement, coverage.
 
-    ``plans`` is any sequence of plan objects with ``index`` / ``bank`` /
-    ``start`` / ``stop`` attributes (bank-parallel and hierarchical
-    planners both produce them); the diagnostic ``instruction`` field
-    carries the shard index.  Overlapping element slices are errors —
-    two shards writing one output region is the silent-corruption case
-    sharded execution must never reach; gaps are warnings (legal, but
-    the concatenated outputs will not cover the program's vectors).
+    ``plans`` is a sequence of shard plans with ``index`` / ``channel`` /
+    ``rank`` / ``bank`` / ``start`` / ``stop`` attributes (the
+    :class:`~repro.controller.hierarchy.HierarchyShard` the dispatcher
+    executes); the diagnostic ``instruction`` field carries the shard
+    index.  ``channels`` x ``ranks`` x ``num_banks`` is the placement's
+    bank capacity, and two shards share a bank only when they share its
+    ``(channel, rank, bank)`` position.  Overlapping element slices are
+    errors — two shards writing one output region is the
+    silent-corruption case sharded execution must never reach; gaps are
+    warnings (legal, but the concatenated outputs will not cover the
+    program's vectors).
     """
     diagnostics: list[Diagnostic] = []
     if num_banks is not None:
-        overcommit = shards_overcommit_diagnostic(len(plans), num_banks)
+        overcommit = shards_overcommit_diagnostic(
+            len(plans), num_banks, channels=channels, ranks=ranks
+        )
         if overcommit is not None:
             diagnostics.append(overcommit)
-    banks_seen: dict[int, int] = {}
+    banks_seen: dict[tuple[int, int, int], int] = {}
     for plan in plans:
         if plan.start >= plan.stop:
             diagnostics.append(
@@ -849,13 +871,14 @@ def verify_shard_plans(
                     code="bank-out-of-range",
                     message=(
                         f"shard {plan.index} is placed in bank {plan.bank} "
-                        f"of a {num_banks}-bank module"
+                        f"of a {num_banks}-bank rank"
                     ),
                     instruction=plan.index,
                     hint=f"banks are numbered 0..{num_banks - 1}",
                 )
             )
-        previous = banks_seen.get(plan.bank)
+        position = (plan.channel, plan.rank, plan.bank)
+        previous = banks_seen.get(position)
         if previous is not None:
             diagnostics.append(
                 Diagnostic(
@@ -863,14 +886,15 @@ def verify_shard_plans(
                     code="duplicate-bank",
                     message=(
                         f"shards {previous} and {plan.index} share bank "
-                        f"{plan.bank} and will serialize"
+                        f"{plan.bank} of channel {plan.channel} rank "
+                        f"{plan.rank} and will serialize"
                     ),
                     instruction=plan.index,
                     hint="place each shard in its own bank for overlap",
                 )
             )
         else:
-            banks_seen[plan.bank] = plan.index
+            banks_seen[position] = plan.index
 
     ordered = sorted(plans, key=lambda plan: (plan.start, plan.stop))
     for before, after in zip(ordered, ordered[1:]):

@@ -33,10 +33,10 @@ Every request is prepared at submission by
 :meth:`~repro.api.session.PlutoSession.run` takes — and executed by
 :func:`repro.plan.prepare.execute` on the executor its concrete
 :class:`~repro.plan.ExecutionPlan` names: the plain controller for
-unsharded plans, the bank-parallel
-:class:`~repro.controller.dispatch.ParallelDispatcher` for sharded plans,
-or the :class:`~repro.controller.hierarchy.HierarchicalDispatcher` for
-hierarchical plans.  With ``plan="auto"`` the cost-based planner
+unsharded plans, or the one sharded dispatcher
+(:class:`~repro.controller.hierarchy.HierarchicalDispatcher`) for
+sharded plans, flat ``shards=k`` plans being its 1 channel x 1 rank
+placement.  With ``plan="auto"`` the cost-based planner
 (:func:`repro.plan.plan_program`) prices the candidate configurations per
 distinct request structure — memoized, so a coalesced batch plans once —
 and each :class:`ServedResult` carries the chosen plan and its

@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.service import PlutoService
     from repro.backend.base import ExecutionBackend
     from repro.compiler.lowering import CompiledProgram
-    from repro.controller.dispatch import ShardedExecutionResult
     from repro.controller.executor import ExecutionResult
     from repro.controller.hierarchy import HierarchicalExecutionResult
     from repro.core.engine import PlutoEngine
@@ -527,7 +526,7 @@ class PlutoSession:
         *,
         engine: "PlutoEngine | None" = None,
         plan: "ExecutionPlan | str | None" = None,
-    ) -> "ExecutionResult | ShardedExecutionResult":
+    ) -> "ExecutionResult | HierarchicalExecutionResult":
         """Compile (cached) and execute this program on the session backend.
 
         ``engine`` selects the pLUTo configuration (design/memory); the
@@ -547,11 +546,12 @@ class PlutoSession:
         whichever plan executes.
 
         Sharded plans partition the element space across DRAM banks and
-        execute bank-parallel — in one fused batched pass on
-        batched-capable backends (the vectorized default) — and
-        ``latency_ns`` becomes the scheduler-derived makespan under
-        cross-bank tRRD/tFAW contention; hierarchical plans additionally
-        spread shards over channels and ranks.  A plan with
+        execute bank-parallel through the one sharded dispatcher — in one
+        fused batched pass on batched-capable backends (the vectorized
+        default) — and ``latency_ns`` becomes the scheduler-derived
+        makespan under cross-bank tRRD/tFAW contention; a flat
+        ``shards=k`` plan uses the banks of one rank, hierarchical plans
+        additionally spread shards over channels and ranks.  A plan with
         ``optimize=True`` runs the program optimizer (:mod:`repro.opt`)
         before compilation, with the
         :class:`~repro.opt.report.OptimizationReport` on

@@ -1,14 +1,11 @@
-"""The pLUTo Controller (Section 6.4) and the parallel dispatchers."""
+"""The pLUTo Controller (Section 6.4) and the sharded dispatcher."""
 
 from repro.controller.allocation_table import AllocationTable, RowAllocation, SubarrayAllocation
 from repro.controller.dispatch import (
-    ParallelDispatcher,
-    ShardedExecutionResult,
-    ShardPlan,
-    ShardPlanner,
     engine_helper_cache_stats,
     execute_shard_plans,
     merged_makespan_ns,
+    plan_slices,
     sweep_act_interval_ns,
 )
 from repro.controller.executor import (
@@ -41,10 +38,7 @@ __all__ = [
     "trace_template_stats",
     "clear_trace_templates",
     "CommandRom",
-    "ParallelDispatcher",
-    "ShardedExecutionResult",
-    "ShardPlan",
-    "ShardPlanner",
+    "plan_slices",
     "execute_shard_plans",
     "engine_helper_cache_stats",
     "merged_makespan_ns",

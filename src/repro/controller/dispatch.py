@@ -1,23 +1,25 @@
-"""Bank-parallel sharded execution of pLUTo programs.
+"""Rank-level building blocks of sharded pLUTo execution.
 
 The paper's scalability results (Figure 12) and the tFAW study
 (Section 8.7) rest on parallelism across subarrays and banks: every bank
 can sweep its own LUT-holding subarray concurrently, with the rank-level
-tRRD/tFAW activation constraints as the only coupling between them.  This
-module adds that execution mode on top of the existing controller:
+tRRD/tFAW activation constraints as the only coupling between them.  The
+one sharded dispatcher,
+:class:`~repro.controller.hierarchy.HierarchicalDispatcher`, places
+shards over channels, ranks and banks (a flat ``shards=k`` plan is its
+1 channel x 1 rank placement); this module holds the pieces it is built
+from:
 
-* :class:`ShardPlanner` partitions a program's element space into
-  contiguous shards and rewrites the recorded API calls so each shard is
-  a complete, smaller program over its slice (equal-sized shards share
-  one compiled program through the structure-keyed compile cache).
-* :class:`ParallelDispatcher` executes the shards through the
+* :func:`plan_slices` partitions a program's element space into balanced
+  contiguous slices and rewrites the recorded API calls so each slice is
+  a complete, smaller program (equal-sized slices share one compiled
+  program through the structure-keyed compile cache).
+* :func:`execute_shard_plans` executes shard plans through the
   :class:`~repro.controller.executor.PlutoController` — in one *fused*
   batched pass over a ``(shards, slice)`` view of the inputs when the
   selected :class:`~repro.backend.base.ExecutionBackend` supports it
-  (the vectorized default), or shard by shard on the functional oracle —
-  placing shard *i* in bank *i* so the per-shard command traces carry
-  distinct bank ids.
-* :func:`merged_makespan_ns` merges the per-shard command streams with
+  (the vectorized default), or shard by shard on the functional oracle.
+* :func:`merged_makespan_ns` merges the command streams of one rank with
   the semantics of the timing-aware
   :class:`~repro.dram.scheduler.CommandScheduler`, memoized on the
   streams' structure (:mod:`repro.dram.analytic`), so the aggregate
@@ -31,28 +33,23 @@ the same inputs, and the dispatcher concatenates the slices in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.api.handles import ApiCall, PlutoVector
-from repro.backend.base import ExecutionBackend
 from repro.controller.executor import ExecutionResult, PlutoController
 from repro.core.designs import PlutoDesign
-from repro.core.engine import PlutoConfig, PlutoEngine
+from repro.core.engine import PlutoEngine
 from repro.dram.analytic import memoized_merge_makespan_ns
-from repro.dram.commands import Command, CommandTrace
+from repro.dram.commands import Command
 from repro.dram.scheduler import CommandScheduler
-from repro.errors import ConfigurationError, ExecutionError, VerificationError
-from repro.obs.trace import stage
+from repro.errors import ConfigurationError
 
 __all__ = [
-    "ShardPlan",
-    "ShardPlanner",
-    "ShardedExecutionResult",
-    "ParallelDispatcher",
+    "plan_slices",
+    "uniform_size",
     "execute_shard_plans",
     "sweep_act_interval_ns",
     "sweep_tail_ns",
@@ -215,194 +212,86 @@ def merged_makespan_ns(
     )
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """One shard: a bank, an element slice, and the rewritten program."""
+def plan_slices(
+    calls: Sequence[ApiCall], shards: int
+) -> list[tuple[int, int, tuple[ApiCall, ...]]]:
+    """Balanced contiguous ``(start, stop, rewritten calls)`` slices.
 
-    index: int
-    bank: int
-    start: int
-    stop: int
-    calls: tuple[ApiCall, ...]
-
-    @property
-    def size(self) -> int:
-        """Number of elements this shard processes."""
-        return self.stop - self.start
-
-
-class ShardPlanner:
-    """Partitions an element-wise API program across banks."""
-
-    def __init__(self, *, num_banks: int = 16) -> None:
-        if num_banks <= 0:
-            raise ConfigurationError("shard planning needs at least one bank")
-        self.num_banks = num_banks
-
-    # ------------------------------------------------------------------ #
-    # Planning
-    # ------------------------------------------------------------------ #
-    def plan(self, calls: Sequence[ApiCall], shards: int) -> list[ShardPlan]:
-        """Split ``calls`` into ``shards`` contiguous element slices.
-
-        Shard sizes are balanced (they differ by at most one element), so
-        equal-sized shards lower to structurally identical programs and
-        compile once.  Shard *i* is placed in bank ``i % num_banks``.
-        """
-        from repro.analyze.verifier import shards_overcommit_diagnostic
-
-        overcommit = shards_overcommit_diagnostic(shards, self.num_banks)
-        if overcommit is not None:
-            # The same Diagnostic the shard-plan verifier reports;
-            # VerificationError subclasses ConfigurationError, so
-            # existing handlers keep working.
-            raise VerificationError((overcommit,), subject="shard plan")
-        return [
-            ShardPlan(
-                index=index,
-                # One bank per shard; shards <= num_banks is enforced
-                # above, so the assignment never wraps.
-                bank=index,
-                start=start,
-                stop=stop,
-                calls=calls_,
-            )
-            for index, (start, stop, calls_) in enumerate(
-                self.plan_slices(calls, shards)
-            )
-        ]
-
-    @classmethod
-    def plan_slices(
-        cls, calls: Sequence[ApiCall], shards: int
-    ) -> list[tuple[int, int, tuple[ApiCall, ...]]]:
-        """Balanced contiguous ``(start, stop, rewritten calls)`` slices.
-
-        The placement-free half of :meth:`plan`: the hierarchical planner
-        reuses it with its own channel/rank/bank mapping, which is not
-        limited to one rank's banks.
-        """
-        if shards <= 0:
-            raise ConfigurationError("shard count must be positive")
-        size = cls._uniform_size(calls)
-        if shards > size:
-            raise ConfigurationError(
-                f"cannot split {size} elements into {shards} non-empty shards"
-            )
-        slices: list[tuple[int, int, tuple[ApiCall, ...]]] = []
-        base, remainder = divmod(size, shards)
-        # Balanced shards take at most two distinct sizes, and the
-        # rewritten call tuples depend only on the size — share them so
-        # planning allocates O(distinct sizes) replica programs instead
-        # of O(shards x calls) vectors.
-        resized: dict[int, tuple[ApiCall, ...]] = {}
-        start = 0
-        for index in range(shards):
-            stop = start + base + (1 if index < remainder else 0)
-            shard_size = stop - start
-            shard_calls = resized.get(shard_size)
-            if shard_calls is None:
-                shard_calls = cls._resize_calls(calls, shard_size)
-                resized[shard_size] = shard_calls
-            slices.append((start, stop, shard_calls))
-            start = stop
-        return slices
-
-    @staticmethod
-    def _uniform_size(calls: Sequence[ApiCall]) -> int:
-        if not calls:
-            raise ConfigurationError("cannot shard an empty API program")
-        sizes = {
-            vector.size
-            for call in calls
-            for vector in (*call.inputs, call.output)
-        }
-        if len(sizes) != 1:
-            raise ConfigurationError(
-                "sharded execution needs a uniform element count across every "
-                f"vector, got sizes {sorted(sizes)}"
-            )
-        return next(iter(sizes))
-
-    @staticmethod
-    def _resize_calls(calls: Sequence[ApiCall], size: int) -> tuple[ApiCall, ...]:
-        """Rewrite every call over ``size``-element replicas of its vectors."""
-        sample = calls[0].output if not calls[0].inputs else calls[0].inputs[0]
-        if sample.size == size:
-            # The slice covers the whole element space; the original
-            # calls (and their vectors) are already correct.
-            return tuple(calls)
-        replicas: dict[str, PlutoVector] = {}
-
-        def _replica(vector: PlutoVector) -> PlutoVector:
-            replica = replicas.get(vector.name)
-            if replica is None:
-                replica = PlutoVector(
-                    name=vector.name, size=size, bit_width=vector.bit_width
-                )
-                replicas[vector.name] = replica
-            return replica
-
-        return tuple(
-            ApiCall(
-                operation=call.operation,
-                inputs=tuple(_replica(vector) for vector in call.inputs),
-                output=_replica(call.output),
-                lut=call.lut,
-                parameters=call.parameters,
-            )
-            for call in calls
-        )
-
-
-@dataclass
-class ShardedExecutionResult(ExecutionResult):
-    """Aggregate result of a bank-parallel execution.
-
-    ``trace`` holds every shard's commands and the *summed* latency/energy
-    (energy genuinely adds across banks; the summed latency is exposed as
-    :attr:`serial_latency_ns`).  :attr:`latency_ns` is overridden with the
-    scheduler-derived :attr:`makespan_ns`, the time at which the slowest
-    bank finishes under cross-bank tRRD/tFAW contention.
+    Slice sizes differ by at most one element, so equal-sized slices
+    lower to structurally identical programs and compile once.  Placing
+    the slices in banks is the hierarchy planner's job
+    (:class:`~repro.controller.hierarchy.HierarchyPlanner`).
     """
+    if shards <= 0:
+        raise ConfigurationError("shard count must be positive")
+    size = uniform_size(calls)
+    if shards > size:
+        raise ConfigurationError(
+            f"cannot split {size} elements into {shards} non-empty shards"
+        )
+    slices: list[tuple[int, int, tuple[ApiCall, ...]]] = []
+    base, remainder = divmod(size, shards)
+    # Balanced shards take at most two distinct sizes, and the rewritten
+    # call tuples depend only on the size — share them so planning
+    # allocates O(distinct sizes) replica programs instead of
+    # O(shards x calls) vectors.
+    resized: dict[int, tuple[ApiCall, ...]] = {}
+    start = 0
+    for index in range(shards):
+        stop = start + base + (1 if index < remainder else 0)
+        shard_size = stop - start
+        shard_calls = resized.get(shard_size)
+        if shard_calls is None:
+            shard_calls = _resize_calls(calls, shard_size)
+            resized[shard_size] = shard_calls
+        slices.append((start, stop, shard_calls))
+        start = stop
+    return slices
 
-    shard_results: list[ExecutionResult] = field(default_factory=list)
-    shard_plans: list[ShardPlan] = field(default_factory=list)
-    makespan_ns: float = 0.0
 
-    @property
-    def num_shards(self) -> int:
-        """Number of bank-parallel shards that produced this result."""
-        return len(self.shard_results)
+def uniform_size(calls: Sequence[ApiCall]) -> int:
+    """The one element count every vector of ``calls`` shares."""
+    if not calls:
+        raise ConfigurationError("cannot shard an empty API program")
+    sizes = {
+        vector.size for call in calls for vector in (*call.inputs, call.output)
+    }
+    if len(sizes) != 1:
+        raise ConfigurationError(
+            "sharded execution needs a uniform element count across every "
+            f"vector, got sizes {sorted(sizes)}"
+        )
+    return next(iter(sizes))
 
-    @property
-    def serial_latency_ns(self) -> float:
-        """Cost of draining every shard back to back through one bank.
 
-        This includes each shard's replicated one-time LUT load, so it is
-        the serialisation of *this shard plan* — not the latency of the
-        equivalent unsharded run, which loads each LUT once and can
-        therefore be cheaper than this sum divided by the shard count.
-        """
-        return self.trace.total_latency_ns
+def _resize_calls(calls: Sequence[ApiCall], size: int) -> tuple[ApiCall, ...]:
+    """Rewrite every call over ``size``-element replicas of its vectors."""
+    sample = calls[0].output if not calls[0].inputs else calls[0].inputs[0]
+    if sample.size == size:
+        # The slice covers the whole element space; the original calls
+        # (and their vectors) are already correct.
+        return tuple(calls)
+    replicas: dict[str, PlutoVector] = {}
 
-    @property
-    def latency_ns(self) -> float:
-        """Scheduler-derived makespan of the bank-parallel execution."""
-        return self.makespan_ns
+    def _replica(vector: PlutoVector) -> PlutoVector:
+        replica = replicas.get(vector.name)
+        if replica is None:
+            replica = PlutoVector(
+                name=vector.name, size=size, bit_width=vector.bit_width
+            )
+            replicas[vector.name] = replica
+        return replica
 
-    @property
-    def parallel_speedup(self) -> float:
-        """Serial drain of this shard plan over its makespan.
-
-        Measures how well the shards overlap (> 1 when they do).  To ask
-        whether sharding beat *not* sharding, compare :attr:`makespan_ns`
-        against the ``latency_ns`` of a ``shards=1`` run, which pays the
-        LUT load only once.
-        """
-        if self.makespan_ns <= 0:
-            return float("inf")
-        return self.serial_latency_ns / self.makespan_ns
+    return tuple(
+        ApiCall(
+            operation=call.operation,
+            inputs=tuple(_replica(vector) for vector in call.inputs),
+            output=_replica(call.output),
+            lut=call.lut,
+            parameters=call.parameters,
+        )
+        for call in calls
+    )
 
 
 def execute_shard_plans(
@@ -414,11 +303,12 @@ def execute_shard_plans(
 ) -> list[ExecutionResult]:
     """Execute shard plans, fused in one batched pass when possible.
 
-    ``plans`` is any sequence of plan objects with ``index`` / ``bank`` /
-    ``start`` / ``stop`` / ``calls`` attributes (both the bank-parallel
-    and hierarchical planners produce them).  With a batched-capable
-    backend (``fused=None`` auto-detects; ``False`` forces the per-shard
-    oracle loop) the equal-sized shards are grouped, their input slices
+    ``plans`` is a sequence of shard plans with ``index`` / ``bank`` /
+    ``start`` / ``stop`` / ``calls`` attributes (the hierarchy planner's
+    :class:`~repro.controller.hierarchy.HierarchyShard`).  With a
+    batched-capable backend (``fused=None`` auto-detects; ``False``
+    forces the per-shard oracle loop) the equal-sized shards are
+    grouped, their input slices
     stacked into ``(shards, slice)`` views, and each group executes in a
     single controller pass — one NumPy gather per LUT query instead of
     ``shards`` trips through the controller.  Outputs, traces, and
@@ -463,128 +353,8 @@ def execute_shard_plans(
     return results  # type: ignore[return-value]
 
 
-class ParallelDispatcher:
-    """Executes shard plans through the controller and merges the results.
+from repro.controller.hierarchy import HierarchicalDispatcher  # noqa: E402
 
-    ``fused`` selects the execution strategy: ``None`` (default) runs the
-    shards in one batched pass when the backend supports it, ``False``
-    forces the per-shard loop (the bit-exactness oracle path), ``True``
-    requires a batched backend.
-    """
-
-    def __init__(
-        self,
-        engine: PlutoEngine | None = None,
-        backend: str | ExecutionBackend = "vectorized",
-        *,
-        fused: bool | None = None,
-    ) -> None:
-        self.engine = engine if engine is not None else PlutoEngine(PlutoConfig())
-        self.controller = PlutoController(self.engine, backend=backend)
-        self.planner = ShardPlanner(num_banks=self.engine.geometry.banks)
-        self.fused = fused
-
-    def execute(
-        self,
-        calls: Sequence[ApiCall],
-        inputs: Mapping[str, np.ndarray],
-        *,
-        shards: int,
-    ) -> ShardedExecutionResult:
-        """Run ``calls`` bank-parallel over ``shards`` slices of ``inputs``."""
-        plans = self.planner.plan(calls, shards)
-        self._verify_plans(plans)
-        arrays = {name: np.asarray(data) for name, data in inputs.items()}
-        self._check_inputs(calls, arrays)
-        shard_results = execute_shard_plans(
-            self.controller, plans, arrays, fused=self.fused
-        )
-        return self._merge(plans, shard_results)
-
-    # ------------------------------------------------------------------ #
-    # Validation
-    # ------------------------------------------------------------------ #
-    def _verify_plans(self, plans: "list[ShardPlan]") -> None:
-        """Statically verify the shard plan, per the engine's verify mode.
-
-        Catches slice aliasing and bad bank placement before any shard
-        executes — two shards writing one output region is the silent
-        corruption sharded execution must never reach.
-        """
-        from repro.analyze.verifier import (
-            verification_enabled,
-            verify_shard_plans,
-        )
-
-        if verification_enabled(self.engine.config.verify):
-            verify_shard_plans(
-                plans, num_banks=self.engine.geometry.banks
-            ).raise_if_errors()
-
-    @staticmethod
-    def _check_inputs(
-        calls: Sequence[ApiCall], arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        """Validate inputs against the *full-size* program vectors.
-
-        The per-shard controller only ever sees exact-size slices, so
-        without this check an oversized input array would be silently
-        truncated — diverging from the unsharded run, which rejects it.
-        """
-        vectors = {
-            vector.name: vector
-            for call in calls
-            for vector in (*call.inputs, call.output)
-        }
-        for name, data in arrays.items():
-            vector = vectors.get(name)
-            if vector is None:
-                raise ExecutionError(
-                    f"input {name!r} is not a vector of this program"
-                )
-            if data.size != vector.size:
-                raise ExecutionError(
-                    f"input {name!r} has {data.size} elements, "
-                    f"expected {vector.size}"
-                )
-
-    # ------------------------------------------------------------------ #
-    # Aggregation
-    # ------------------------------------------------------------------ #
-    def _merge(
-        self, plans: list[ShardPlan], shard_results: list[ExecutionResult]
-    ) -> ShardedExecutionResult:
-        merged_trace = CommandTrace(
-            timing=self.engine.timing, energy=self.engine.energy
-        )
-        for result in shard_results:
-            merged_trace.merge(result.trace)
-        with stage("schedule", shards=len(shard_results)):
-            makespan = merged_makespan_ns(
-                [result.trace.commands for result in shard_results], self.engine
-            )
-        outputs = {
-            name: np.concatenate(
-                [result.outputs[name] for result in shard_results]
-            )
-            for name in shard_results[0].outputs
-        }
-        registers = {
-            name: np.concatenate(
-                [result.registers[name] for result in shard_results]
-            )
-            for name in shard_results[0].registers
-        }
-        return ShardedExecutionResult(
-            outputs=outputs,
-            trace=merged_trace,
-            lut_queries=sum(result.lut_queries for result in shard_results),
-            instructions_executed=sum(
-                result.instructions_executed for result in shard_results
-            ),
-            registers=registers,
-            backend=self.controller.backend.name,
-            shard_results=shard_results,
-            shard_plans=plans,
-            makespan_ns=makespan,
-        )
+# ``perfbench/ledger.py`` wraps ``execute`` under this name as well as under
+# ``HierarchicalDispatcher``; it names the one dispatcher class, not a second.
+ParallelDispatcher = HierarchicalDispatcher

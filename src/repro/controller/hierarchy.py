@@ -1,9 +1,10 @@
-"""Hierarchical channel/rank/bank-group/bank dispatch of pLUTo programs.
+"""The one sharded dispatcher: channel/rank/bank-group/bank placement.
 
-PR 2's :class:`~repro.controller.dispatch.ParallelDispatcher` stops at the
-banks of one rank.  The paper's headline throughput numbers assume the
-whole DRAM hierarchy of Figure 1 sweeps LUTs concurrently, so this module
-adds the two interface levels above the rank with level-aware timing:
+pLUTo's throughput comes from many banks sweeping LUTs at once (paper
+Figure 12), limited by the rank-level tRRD/tFAW window (Section 8.7).  The
+paper's headline numbers assume the whole DRAM hierarchy of Figure 1
+sweeps concurrently, so every sharded plan runs through one dispatcher
+with level-aware timing:
 
 * **Channels** are fully parallel — each has its own command/data bus and
   its own ranks, so the device makespan is the slowest channel's makespan.
@@ -18,50 +19,63 @@ adds the two interface levels above the rank with level-aware timing:
   spacing, which :meth:`~repro.dram.scheduler.CommandScheduler.merge_streams`
   enforces; the planner round-robins consecutive shards across bank
   groups so neighbouring shards pay the short tCCD_S, not tCCD_L.
-* **Banks** within a rank keep PR 2's tRRD/tFAW merge semantics, served
-  through the memoized exact fast merge of :mod:`repro.dram.analytic`
-  (whole hierarchical schedules are additionally memoized on the
-  streams' structural signature, so per-level decompositions and repeat
-  requests re-merge nothing).
+* **Banks** within a rank merge under tRRD/tFAW through
+  :func:`~repro.controller.dispatch.merged_makespan_ns`, the memoized
+  exact fast merge of :mod:`repro.dram.analytic` (whole hierarchical
+  schedules are additionally memoized on the streams' structural
+  signature, so per-level decompositions and repeat requests re-merge
+  nothing).
 
-:class:`HierarchyPlanner` places balanced element slices channel-first
-(maximum parallelism per shard added); :class:`HierarchicalDispatcher`
-executes every shard through the ordinary controller/backend stack and
-reports a :class:`HierarchicalExecutionResult` whose per-level makespans
-(serial >= bank-only >= rank-parallel >= channel-parallel) decompose where
-the speedup comes from.
+:class:`HierarchyPlanner` is the one module that decides which bank runs
+which slice: it places balanced element slices channel-first (maximum
+parallelism per shard added).  A flat ``ExecutionPlan(shards=k)`` is its
+1 channel x 1 rank placement, capped at one rank's banks
+(:meth:`~repro.plan.ExecutionPlan.placement`).
+:class:`HierarchicalDispatcher` executes every shard through the ordinary
+controller/backend stack and reports a
+:class:`HierarchicalExecutionResult` whose per-level makespans (serial >=
+bank-only >= rank-parallel >= channel-parallel) decompose where the
+speedup comes from.
 
 Functional outputs are bit-identical to unsharded execution by
-construction, exactly as in the bank-parallel dispatcher: every shard runs
-the same lowering over a disjoint slice of the same inputs.
+construction: every shard runs the same lowering over a disjoint slice of
+the same inputs, and the dispatcher concatenates the slices in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.analyze.verifier import (
+    shards_overcommit_diagnostic,
+    verification_enabled,
+    verify_shard_plans,
+)
 from repro.api.handles import ApiCall
 from repro.backend.base import ExecutionBackend
 from repro.controller.dispatch import (
-    ParallelDispatcher,
-    ShardPlanner,
     execute_shard_plans,
-    rank_scheduler,
+    plan_slices,
     rank_scheduler_key,
+    uniform_size,
 )
 from repro.controller.executor import ExecutionResult, PlutoController
 from repro.core.engine import PlutoConfig, PlutoEngine
-from repro.dram.analytic import memoized_merge_makespan_ns, streams_signature
+from repro.dram.analytic import streams_signature
 from repro.dram.commands import Command, CommandTrace, CommandType
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.scheduler import activation_count
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecutionError, VerificationError
 from repro.obs.trace import stage
 from repro.utils.memo import BoundedMemo
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analyze.diagnostics import VerificationReport
+    from repro.plan.execution_plan import ExecutionPlan
 
 __all__ = [
     "HierarchyShard",
@@ -98,11 +112,14 @@ def bus_occupancy_ns(streams: Sequence[Sequence[Command]], engine: PlutoEngine) 
     return total
 
 
+#: One level's schedule: (makespan, rank makespans, channel makespans).
+_Schedule = tuple[float, dict[tuple[int, int], float], dict[int, float]]
+
 #: (streams signature, scheduler key, channels, ranks) -> (makespan,
 #: rank makespans, channel makespans).  The per-rank merges additionally
 #: share the module-wide makespan memo, so collapsing levels re-merges
 #: nothing.
-_HIERARCHY_MEMO: BoundedMemo[tuple[float, dict, dict]] = BoundedMemo(1024)
+_HIERARCHY_MEMO: BoundedMemo[_Schedule] = BoundedMemo(1024)
 
 
 def hierarchy_cache_stats() -> dict[str, int]:
@@ -115,39 +132,65 @@ def clear_hierarchy_cache() -> None:
     _HIERARCHY_MEMO.clear()
 
 
-def _schedule_hierarchy(
+def _schedule_levels(
     streams: Sequence[Sequence[Command]],
     engine: PlutoEngine,
-    *,
-    channels: int,
-    ranks: int,
-) -> tuple[float, dict[tuple[int, int], float], dict[int, float]]:
-    """Schedule per-shard streams over a hierarchy, with the breakdown.
+    levels: Iterable[tuple[int, int]],
+) -> dict[tuple[int, int], _Schedule]:
+    """Schedule per-shard streams at each ``(channels, ranks)`` level.
 
-    Returns ``(makespan, rank_makespans, channel_makespans)`` where
-    ``rank_makespans`` maps ``(channel, rank)`` to that rank's merged
-    makespan (before the channel-bus bound) and ``channel_makespans``
-    maps each populated channel to ``max(slowest rank, bus occupancy)``.
-    Results are memoized on the streams' structural signature plus the
-    hierarchy shape, with the per-rank merges sharing the module-wide
-    makespan memo.
+    The streams' structural signature is computed once and shared by
+    every level's memo key, and equal levels are scheduled once (at a 1
+    channel x 1 rank placement the bank-only, rank-parallel and full
+    levels are one schedule).  Each schedule maps ``(channel, rank)`` to
+    that rank's merged makespan (before the channel-bus bound) and each
+    populated channel to ``max(slowest rank, bus occupancy)``; the
+    breakdown dicts are copies, so callers may keep or mutate them.
     """
-    if channels <= 0 or ranks <= 0:
+    levels = set(levels)
+    if any(channels <= 0 or ranks <= 0 for channels, ranks in levels):
         raise ConfigurationError("channel and rank counts must be positive")
     streams = [stream for stream in streams if len(stream)]
     if not streams:
-        return 0.0, {}, {}
+        return {level: (0.0, {}, {}) for level in levels}
     config_key = rank_scheduler_key(engine)
+    signature: tuple | None
     try:
-        key = (streams_signature(streams), config_key, channels, ranks)
+        signature = streams_signature(streams)
     except TypeError:
+        signature = None
+    schedules: dict[tuple[int, int], _Schedule] = {}
+    for channels, ranks in levels:
         key = None
-        _HIERARCHY_MEMO.note_uncached()
-    if key is not None:
-        cached = _HIERARCHY_MEMO.get(key)
-        if cached is not None:
-            makespan, rank_makespans, channel_makespans = cached
-            return makespan, dict(rank_makespans), dict(channel_makespans)
+        schedule = None
+        if signature is None:
+            _HIERARCHY_MEMO.note_uncached()
+        else:
+            key = (signature, config_key, channels, ranks)
+            schedule = _HIERARCHY_MEMO.get(key)
+        if schedule is None:
+            schedule = _place_and_merge(streams, engine, channels, ranks)
+            if key is not None:
+                _HIERARCHY_MEMO.put(key, schedule)
+        makespan, rank_makespans, channel_makespans = schedule
+        schedules[(channels, ranks)] = (
+            makespan,
+            dict(rank_makespans),
+            dict(channel_makespans),
+        )
+    return schedules
+
+
+def _place_and_merge(
+    streams: Sequence[Sequence[Command]],
+    engine: PlutoEngine,
+    channels: int,
+    ranks: int,
+) -> _Schedule:
+    """Place the streams channel-first and merge every rank (uncached)."""
+    # Read from the module at call time, so instrumentation that wraps
+    # the rank merge sees these calls too.
+    from repro.controller.dispatch import merged_makespan_ns
 
     rank_makespans: dict[tuple[int, int], float] = {}
     channel_makespans: dict[int, float] = {}
@@ -167,22 +210,26 @@ def _schedule_hierarchy(
             rank_streams = by_rank.get((channel, rank))
             if not rank_streams:
                 continue
-            rank_makespan = memoized_merge_makespan_ns(
-                rank_streams,
-                lambda: rank_scheduler(engine),
-                config_key=config_key,
-            )
+            rank_makespan = merged_makespan_ns(rank_streams, engine)
             rank_makespans[(channel, rank)] = rank_makespan
             slowest_rank = max(slowest_rank, rank_makespan)
             channel_bus_ns += bus_occupancy_ns(rank_streams, engine)
         if slowest_rank:
             channel_makespans[channel] = max(slowest_rank, channel_bus_ns)
     makespan = max(channel_makespans.values(), default=0.0)
-    if key is not None:
-        _HIERARCHY_MEMO.put(
-            key, (makespan, dict(rank_makespans), dict(channel_makespans))
-        )
     return makespan, rank_makespans, channel_makespans
+
+
+def _schedule_hierarchy(
+    streams: Sequence[Sequence[Command]],
+    engine: PlutoEngine,
+    *,
+    channels: int,
+    ranks: int,
+) -> _Schedule:
+    """One ``(channels, ranks)`` level's memoized schedule."""
+    level = (channels, ranks)
+    return _schedule_levels(streams, engine, (level,))[level]
 
 
 def hierarchical_makespan_ns(
@@ -202,10 +249,7 @@ def hierarchical_makespan_ns(
     tRRD/tFAW/tCCD; ranks sharing a channel are jointly bounded by the
     channel bus's issue throughput; channels are independent.
     """
-    makespan, _, _ = _schedule_hierarchy(
-        streams, engine, channels=channels, ranks=ranks
-    )
-    return makespan
+    return _schedule_hierarchy(streams, engine, channels=channels, ranks=ranks)[0]
 
 
 @lru_cache(maxsize=None)
@@ -247,22 +291,46 @@ class HierarchyShard:
         return self.stop - self.start
 
 
+@lru_cache(maxsize=None)
+def _placement_geometry(
+    geometry: DRAMGeometry, channels: int, ranks: int
+) -> DRAMGeometry:
+    if (channels, ranks) == (geometry.channels, geometry.ranks):
+        return geometry
+    return replace(geometry, channels=channels, ranks=ranks)
+
+
 class HierarchyPlanner:
-    """Places balanced element slices across channel/rank/bank levels."""
+    """Places balanced element slices across channel/rank/bank levels.
+
+    ``geometry`` is the placement: the channels and ranks the shards may
+    spread over, each with the device's banks.
+    """
 
     def __init__(self, geometry: DRAMGeometry) -> None:
         self.geometry = geometry
+
+    @classmethod
+    def for_plan(
+        cls, plan: "ExecutionPlan", geometry: DRAMGeometry
+    ) -> "HierarchyPlanner":
+        """The planner for a concrete sharded plan on a device geometry."""
+        return cls(_placement_geometry(geometry, *plan.placement(geometry)))
 
     @property
     def total_banks(self) -> int:
         """Maximum shard count: every bank of every rank of every channel."""
         return self.geometry.total_banks
 
-    def plan(self, calls: Sequence[ApiCall], shards: int | None = None) -> list[HierarchyShard]:
-        """Split ``calls`` into shards placed channel-first over the device.
+    def plan(
+        self, calls: Sequence[ApiCall], shards: int | None = None
+    ) -> list[HierarchyShard]:
+        """Split ``calls`` into shards placed channel-first over the placement.
 
-        ``shards`` defaults to every bank in the device (capped at the
-        element count, so small programs still plan).  Placement is
+        ``shards`` defaults to every bank in the placement (capped at the
+        element count, so small programs still plan); more shards than
+        banks raise :class:`~repro.errors.VerificationError` with the
+        verifier's ``shards-overcommit`` diagnostic.  Placement is
         channel-first: shard *i* lands on channel ``i % channels``, rank
         ``(i // channels) % ranks``, and the rank-local bank order that
         round-robins bank groups — each added shard buys the most
@@ -270,21 +338,16 @@ class HierarchyPlanner:
         """
         geometry = self.geometry
         if shards is None:
-            size = ShardPlanner._uniform_size(calls)
-            shards = min(self.total_banks, size)
-        if shards > self.total_banks:
-            raise ConfigurationError(
-                f"cannot run {shards} shards on a device with "
-                f"{self.total_banks} banks "
-                f"({geometry.channels} channels x {geometry.ranks} ranks x "
-                f"{geometry.banks} banks)"
-            )
+            shards = min(self.total_banks, uniform_size(calls))
+        overcommit = shards_overcommit_diagnostic(
+            shards, geometry.banks, channels=geometry.channels, ranks=geometry.ranks
+        )
+        if overcommit is not None:
+            raise VerificationError((overcommit,), subject="shard plan")
         bank_order = interleaved_bank_order(geometry)
         interface = geometry.channels * geometry.ranks
         plans: list[HierarchyShard] = []
-        for index, (start, stop, shard_calls) in enumerate(
-            ShardPlanner.plan_slices(calls, shards)
-        ):
+        for index, (start, stop, shard_calls) in enumerate(plan_slices(calls, shards)):
             bank = bank_order[index // interface]
             plans.append(
                 HierarchyShard(
@@ -299,6 +362,19 @@ class HierarchyPlanner:
                 )
             )
         return plans
+
+    def verify(
+        self, plans: Sequence[HierarchyShard], *, subject: str = "shard plan"
+    ) -> "VerificationReport":
+        """Statically verify ``plans`` against this placement's banks."""
+        geometry = self.geometry
+        return verify_shard_plans(
+            plans,
+            num_banks=geometry.banks,
+            channels=geometry.channels,
+            ranks=geometry.ranks,
+            subject=subject,
+        )
 
 
 @dataclass
@@ -379,12 +455,13 @@ class HierarchicalExecutionResult(ExecutionResult):
 
 
 class HierarchicalDispatcher:
-    """Executes hierarchy plans through the controller and merges results.
+    """Executes shard plans through the controller and merges the results.
 
-    ``fused`` selects the execution strategy exactly as in
-    :class:`~repro.controller.dispatch.ParallelDispatcher`: ``None``
-    (default) batches the shards into one fused pass on batched-capable
-    backends, ``False`` forces the per-shard oracle loop.
+    The one sharded dispatcher: a flat ``shards=k`` plan is its 1 channel
+    x 1 rank placement.  ``fused`` selects the execution strategy:
+    ``None`` (default) batches the shards into one fused pass on
+    batched-capable backends, ``False`` forces the per-shard loop (the
+    bit-exactness oracle path), ``True`` requires a batched backend.
 
     ``channels`` / ``ranks`` optionally *narrow* the placement to a
     subset of the engine's interface hierarchy (the auto-planner prices
@@ -409,18 +486,14 @@ class HierarchicalDispatcher:
             )
         if ranks is not None and not 1 <= ranks <= geometry.ranks:
             raise ConfigurationError(
-                f"placement ranks must be within [1, {geometry.ranks}], "
-                f"got {ranks}"
+                f"placement ranks must be within [1, {geometry.ranks}], got {ranks}"
             )
         self.channels = channels if channels is not None else geometry.channels
         self.ranks = ranks if ranks is not None else geometry.ranks
-        placement = geometry
-        if (self.channels, self.ranks) != (geometry.channels, geometry.ranks):
-            placement = replace(
-                geometry, channels=self.channels, ranks=self.ranks
-            )
         self.controller = PlutoController(self.engine, backend=backend)
-        self.planner = HierarchyPlanner(placement)
+        self.planner = HierarchyPlanner(
+            _placement_geometry(geometry, self.channels, self.ranks)
+        )
         self.fused = fused
 
     def execute(
@@ -430,18 +503,46 @@ class HierarchicalDispatcher:
         *,
         shards: int | None = None,
     ) -> HierarchicalExecutionResult:
-        """Run ``calls`` over ``inputs`` spread across the whole hierarchy."""
+        """Run ``calls`` over ``inputs`` spread across the placement.
+
+        The shard plan is statically verified first when the engine's
+        ``verify`` mode is on: aliased slices or doubly-booked banks are
+        caught before any shard executes.
+        """
         plans = self.planner.plan(calls, shards)
+        if verification_enabled(self.engine.config.verify):
+            self.planner.verify(plans).raise_if_errors()
         arrays = {name: np.asarray(data) for name, data in inputs.items()}
-        ParallelDispatcher._check_inputs(calls, arrays)
+        self._check_inputs(calls, arrays)
         shard_results = execute_shard_plans(
             self.controller, plans, arrays, fused=self.fused
         )
         return self._merge(plans, shard_results)
 
-    # ------------------------------------------------------------------ #
-    # Aggregation
-    # ------------------------------------------------------------------ #
+    @staticmethod
+    def _check_inputs(
+        calls: Sequence[ApiCall], arrays: Mapping[str, np.ndarray]
+    ) -> None:
+        """Validate inputs against the *full-size* program vectors.
+
+        The per-shard controller only ever sees exact-size slices, so
+        without this check an oversized input array would be silently
+        truncated — diverging from the unsharded run, which rejects it.
+        """
+        vectors = {
+            vector.name: vector
+            for call in calls
+            for vector in (*call.inputs, call.output)
+        }
+        for name, data in arrays.items():
+            vector = vectors.get(name)
+            if vector is None:
+                raise ExecutionError(f"input {name!r} is not a vector of this program")
+            if data.size != vector.size:
+                raise ExecutionError(
+                    f"input {name!r} has {data.size} elements, expected {vector.size}"
+                )
+
     def _merge(
         self,
         plans: list[HierarchyShard],
@@ -458,32 +559,23 @@ class HierarchicalDispatcher:
         # schedule also yields the per-rank/per-channel breakdown (its
         # placement formula reproduces the planner's, so the breakdown
         # keys match the plans' (channel, rank) positions).
+        full = (self.channels, self.ranks)
+        rank_level = (1, self.ranks)
         with stage(
             "schedule",
             shards=len(shard_results),
             channels=self.channels,
             ranks=self.ranks,
         ):
-            bank_only = hierarchical_makespan_ns(
-                streams, engine, channels=1, ranks=1
-            )
-            rank_parallel = hierarchical_makespan_ns(
-                streams, engine, channels=1, ranks=self.ranks
-            )
-            makespan, rank_makespans, channel_makespans = _schedule_hierarchy(
-                streams, engine, channels=self.channels, ranks=self.ranks
-            )
+            schedules = _schedule_levels(streams, engine, ((1, 1), rank_level, full))
+        makespan, rank_makespans, channel_makespans = schedules[full]
 
         outputs = {
-            name: np.concatenate(
-                [result.outputs[name] for result in shard_results]
-            )
+            name: np.concatenate([result.outputs[name] for result in shard_results])
             for name in shard_results[0].outputs
         }
         registers = {
-            name: np.concatenate(
-                [result.registers[name] for result in shard_results]
-            )
+            name: np.concatenate([result.registers[name] for result in shard_results])
             for name in shard_results[0].registers
         }
         return HierarchicalExecutionResult(
@@ -498,8 +590,8 @@ class HierarchicalDispatcher:
             shard_results=shard_results,
             shards=plans,
             makespan_ns=makespan,
-            bank_only_makespan_ns=bank_only,
-            rank_parallel_makespan_ns=rank_parallel,
+            bank_only_makespan_ns=schedules[(1, 1)][0],
+            rank_parallel_makespan_ns=schedules[rank_level][0],
             channel_makespans=channel_makespans,
             rank_makespans=rank_makespans,
         )

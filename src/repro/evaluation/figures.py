@@ -329,7 +329,7 @@ def figure12_sharded_scaling(
     does not.  This is the execution-layer counterpart of the analytical
     panel (a) study above.
     """
-    from repro.controller.dispatch import ParallelDispatcher
+    from repro.controller.hierarchy import HierarchicalDispatcher
 
     session, inputs = _sharded_reference_session(elements)
     engine = PlutoEngine(
@@ -339,7 +339,7 @@ def figure12_sharded_scaling(
         name="Figure 12 (sharded)",
         description="Makespan of one LUT-query program vs. bank-parallel shards",
     )
-    dispatcher = ParallelDispatcher(engine)
+    dispatcher = HierarchicalDispatcher(engine)
     executions = {
         shards: dispatcher.execute(session.calls, inputs, shards=shards)
         for shards in shard_counts
@@ -422,7 +422,7 @@ def figure13_sharded_tfaw(
     tRRD) stretches the scheduler-derived makespan — the execution-layer
     counterpart of the analytical Figure 13 study.
     """
-    from repro.controller.dispatch import ParallelDispatcher
+    from repro.controller.hierarchy import HierarchicalDispatcher
 
     session, inputs = _sharded_reference_session(elements)
     result = FigureResult(
@@ -434,7 +434,7 @@ def figure13_sharded_tfaw(
         engine = PlutoEngine(
             PlutoConfig(design=PlutoDesign.BSA, tfaw_fraction=fraction)
         )
-        dispatcher = ParallelDispatcher(engine)
+        dispatcher = HierarchicalDispatcher(engine)
         execution = dispatcher.execute(session.calls, inputs, shards=shards)
         if reference is None:
             reference = execution.makespan_ns

@@ -193,10 +193,11 @@ class EvaluationHarness:
 
         ``plan`` selects the execution configuration exactly as in
         :meth:`PlutoSession.run` — sharded plans run bank-parallel
-        through the :class:`~repro.controller.dispatch.ParallelDispatcher`
-        (``latency_ns`` becomes the scheduler-derived makespan),
-        hierarchical plans spread over channels and ranks, and
-        ``plan="auto"`` asks the cost-based planner *per engine*, so
+        through the :class:`~repro.controller.hierarchy.HierarchicalDispatcher`
+        (``latency_ns`` becomes the scheduler-derived makespan; flat
+        plans use one rank's banks, hierarchical plans spread over
+        channels and ranks), and ``plan="auto"`` asks the cost-based
+        planner *per engine*, so
         each configuration gets the plan that is cheapest on *its*
         geometry (the chosen plan rides on ``result.execution_plan``
         with the :class:`~repro.plan.PlannerReport` on

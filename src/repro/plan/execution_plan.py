@@ -144,6 +144,22 @@ class ExecutionPlan:
         """The shard count this plan executes with (1 when unset)."""
         return self.shards if self.shards is not None else 1
 
+    @property
+    def sharded(self) -> bool:
+        """Whether the plan runs through the sharded dispatcher."""
+        return self.hierarchical or self.effective_shards > 1
+
+    def placement(self, geometry: "DRAMGeometry") -> tuple[int, int]:
+        """The ``(channels, ranks)`` this plan's shards spread over.
+
+        A flat ``shards=k`` plan runs in the banks of one rank (a 1
+        channel x 1 rank placement); a hierarchical plan spans the
+        device's channels and ranks unless it narrows them.
+        """
+        if not self.hierarchical:
+            return 1, 1
+        return self.channels or geometry.channels, self.ranks or geometry.ranks
+
     def label(self) -> str:
         """Compact human-readable description, e.g. ``shards=16+opt``."""
         if self.is_auto:
@@ -229,27 +245,10 @@ def plan_conflict_diagnostics(
             )
         )
     if plan.shards is not None:
-        if plan.hierarchical:
-            channels = plan.channels or geometry.channels
-            ranks = plan.ranks or geometry.ranks
-            capacity = channels * ranks * geometry.banks
-            if plan.shards > capacity:
-                diagnostics.append(
-                    Diagnostic(
-                        severity=Severity.ERROR,
-                        code="shards-overcommit",
-                        message=(
-                            f"cannot run {plan.shards} shards on a device "
-                            f"offering {capacity} banks ({channels} channels "
-                            f"x {ranks} ranks x {geometry.banks} banks)"
-                        ),
-                        hint="lower the shard count or widen the geometry",
-                    )
-                )
-        else:
-            overcommit = shards_overcommit_diagnostic(
-                plan.shards, geometry.banks
-            )
-            if overcommit is not None:
-                diagnostics.append(overcommit)
+        channels, ranks = plan.placement(geometry)
+        overcommit = shards_overcommit_diagnostic(
+            plan.shards, geometry.banks, channels=channels, ranks=ranks
+        )
+        if overcommit is not None:
+            diagnostics.append(overcommit)
     return tuple(diagnostics)

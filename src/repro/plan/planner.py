@@ -4,9 +4,8 @@ Given a recorded program and an engine, :func:`plan_program` enumerates
 candidate execution configurations — shard counts, channel/rank
 placements, optimizer on/off — prices each with the
 memoized analytic makespan model (the same
-:func:`~repro.controller.dispatch.merged_makespan_ns` /
-:func:`~repro.controller.hierarchy.hierarchical_makespan_ns` the
-dispatchers charge executions with, backed by
+:func:`~repro.controller.hierarchy.hierarchical_makespan_ns` the sharded
+dispatcher charges executions with, backed by
 :mod:`repro.dram.analytic`), adds measured compile/optimize wall-clock
 priors, and picks the argmin.  Because pricing and execution share one
 model *and* one memo, the planner's predicted makespan is exact with
@@ -244,13 +243,24 @@ def _shard_grid(limit: int, size: int) -> list[int]:
 
 
 def _placements(
-    channels: int, ranks: int
-) -> list[tuple[int, int]]:
-    """Hierarchy placements worth pricing: full device plus each level alone."""
-    placements = [(channels, ranks)]
-    if ranks > 1 and channels > 1:
-        placements.append((channels, 1))
-        placements.append((1, ranks))
+    modes: Sequence[str], channels: int, ranks: int
+) -> list[tuple[int, int, bool]]:
+    """``(channels, ranks, hierarchical)`` placements worth pricing.
+
+    ``"banks"`` prices the flat 1 x 1 placement; ``"hierarchy"`` the
+    full device plus each interface level alone.  On a 1 x 1 device the
+    two families name the same placement, which is priced once (as the
+    simpler flat plan when ``"banks"`` is searched).
+    """
+    flat = "banks" in modes
+    placements: list[tuple[int, int, bool]] = [(1, 1, False)] if flat else []
+    if "hierarchy" in modes:
+        levels = [(channels, ranks)]
+        if ranks > 1 and channels > 1:
+            levels += [(channels, 1), (1, ranks)]
+        placements += [
+            (c, r, True) for c, r in levels if not (flat and (c, r) == (1, 1))
+        ]
     return placements
 
 
@@ -279,31 +289,14 @@ def _verify_chosen(
     engine: "PlutoEngine",
 ) -> None:
     """Run the chosen shard plan through the static shard-plan verifier."""
-    from dataclasses import replace as replace_dataclass
-
-    from repro.analyze.verifier import verify_shard_plans
-    from repro.controller.dispatch import ShardPlanner
     from repro.controller.hierarchy import HierarchyPlanner
 
-    geometry = engine.geometry
-    if plan.hierarchical:
-        placement = geometry
-        if plan.channels is not None or plan.ranks is not None:
-            placement = replace_dataclass(
-                geometry,
-                channels=plan.channels or geometry.channels,
-                ranks=plan.ranks or geometry.ranks,
-            )
-        plans = HierarchyPlanner(placement).plan(calls, plan.shards)
-        verify_shard_plans(
-            plans, num_banks=geometry.banks, subject="auto-planned shard plan"
-        ).raise_if_errors()
-    elif plan.effective_shards > 1:
-        planner = ShardPlanner(num_banks=geometry.banks)
-        plans_ = planner.plan(calls, plan.effective_shards)
-        verify_shard_plans(
-            plans_, num_banks=geometry.banks, subject="auto-planned shard plan"
-        ).raise_if_errors()
+    if not plan.sharded:
+        return
+    planner = HierarchyPlanner.for_plan(plan, engine.geometry)
+    planner.verify(
+        planner.plan(calls, plan.shards), subject="auto-planned shard plan"
+    ).raise_if_errors()
 
 
 def _enumerate(
@@ -316,7 +309,7 @@ def _enumerate(
     priors: CostPriors,
 ) -> tuple[list[CandidatePlan], dict[bool, Sequence["ApiCall"]]]:
     """Price every candidate configuration for ``calls`` on ``engine``."""
-    from repro.controller.dispatch import ShardPlanner, merged_makespan_ns
+    from repro.controller.dispatch import plan_slices, uniform_size
     from repro.controller.executor import PlutoController
     from repro.controller.hierarchy import hierarchical_makespan_ns
     from repro.opt.pipeline import optimize_cached
@@ -335,17 +328,6 @@ def _enumerate(
         if request.optimize is not None
         else (False, True)
     )
-    # Hierarchy placement on a single-channel single-rank device adds a
-    # bus bound on top of the identical bank merge — strictly dominated
-    # by the plain bank-parallel mode whenever that mode is searched.
-    effective_modes = list(modes)
-    if (
-        "hierarchy" in effective_modes
-        and "banks" in effective_modes
-        and geometry.channels * geometry.ranks == 1
-    ):
-        effective_modes.remove("hierarchy")
-
     candidates: list[CandidatePlan] = []
     calls_by_optimize: dict[bool, Sequence["ApiCall"]] = {}
     for optimize in optimize_options:
@@ -361,13 +343,13 @@ def _enumerate(
         calls_by_optimize[optimize] = plan_calls
 
         try:
-            size: int | None = ShardPlanner._uniform_size(plan_calls)
+            size: int | None = uniform_size(plan_calls)
         except ConfigurationError:
             # Non-uniform (or empty) element space: only the unsharded
             # mode applies.  Entry points that demand a sharded layout
             # (run_hierarchical) get the shard planner's own error
             # rather than a silent fall back to a single-bank plan.
-            if "single" not in effective_modes:
+            if "single" not in modes:
                 raise
             size = None
 
@@ -380,7 +362,7 @@ def _enumerate(
                 templates[length] = template
             return template
 
-        if "single" in effective_modes or size is None:
+        if "single" in modes or size is None:
             full = len(plan_calls)
             if full == 0:
                 continue
@@ -398,86 +380,49 @@ def _enumerate(
         if size is None:
             continue
 
-        if "banks" in effective_modes:
-            for shards in _shard_grid(geometry.banks, size):
-                if shards == 1:
-                    continue
-                slices = ShardPlanner.plan_slices(plan_calls, shards)
+        for channels, ranks, hierarchical in _placements(
+            modes, geometry.channels, geometry.ranks
+        ):
+            for shards in _shard_grid(channels * ranks * geometry.banks, size):
+                if shards == 1 and not hierarchical:
+                    continue  # the flat one-shard plan is "single"
                 streams: list[Sequence["Command"]] = []
                 instructions = 0
                 distinct = 0
                 seen: set[int] = set()
-                for index, (start, stop, shard_calls) in enumerate(slices):
+                for start, stop, shard_calls in plan_slices(plan_calls, shards):
                     template = template_of(shard_calls, stop - start)
                     if (stop - start) not in seen:
                         seen.add(stop - start)
                         distinct += 1
                     instructions += template.instructions_executed
-                    streams.append(
-                        template.realize(
-                            engine.timing, engine.energy, bank=index
-                        ).commands
-                    )
-                predicted = merged_makespan_ns(streams, engine)
-                compile_cost_s = (
-                    distinct * len(plan_calls) * priors.compile_s_per_call
+                    # The scheduler reassigns banks by stream index, so
+                    # bank-0 realizations price exactly what the
+                    # dispatcher will charge.
+                    streams.append(template.commands)
+                predicted = hierarchical_makespan_ns(
+                    streams, engine, channels=channels, ranks=ranks
                 )
+                compile_cost_s = distinct * len(plan_calls) * priors.compile_s_per_call
+                if hierarchical:
+                    plan = ExecutionPlan(
+                        shards=shards,
+                        hierarchical=True,
+                        channels=channels if channels != geometry.channels else None,
+                        ranks=ranks if ranks != geometry.ranks else None,
+                        optimize=optimize,
+                    )
+                else:
+                    plan = ExecutionPlan(shards=shards, optimize=optimize)
                 candidates.append(
                     CandidatePlan(
-                        plan=ExecutionPlan(shards=shards, optimize=optimize),
+                        plan=plan,
                         predicted_makespan_ns=predicted,
                         wall_cost_s=optimize_cost_s
                         + compile_cost_s
                         + instructions * run_s_per_instruction,
                     )
                 )
-
-        if "hierarchy" in effective_modes:
-            for channels, ranks in _placements(
-                geometry.channels, geometry.ranks
-            ):
-                total_banks = channels * ranks * geometry.banks
-                for shards in _shard_grid(total_banks, size):
-                    slices = ShardPlanner.plan_slices(plan_calls, shards)
-                    streams_h: list[Sequence["Command"]] = []
-                    instructions = 0
-                    distinct = 0
-                    seen = set()
-                    for start, stop, shard_calls in slices:
-                        template = template_of(shard_calls, stop - start)
-                        if (stop - start) not in seen:
-                            seen.add(stop - start)
-                            distinct += 1
-                        instructions += template.instructions_executed
-                        # The hierarchical scheduler reassigns banks by
-                        # stream index, so bank-0 realizations price
-                        # exactly what the dispatcher will charge.
-                        streams_h.append(template.commands)
-                    predicted = hierarchical_makespan_ns(
-                        streams_h, engine, channels=channels, ranks=ranks
-                    )
-                    compile_cost_s = (
-                        distinct * len(plan_calls) * priors.compile_s_per_call
-                    )
-                    plan_channels = (
-                        channels if channels != geometry.channels else None
-                    )
-                    plan_ranks = ranks if ranks != geometry.ranks else None
-                    candidates.append(
-                        CandidatePlan(
-                            plan=ExecutionPlan(
-                                shards=shards,
-                                hierarchical=True,
-                                channels=plan_channels,
-                                ranks=plan_ranks,
-                                optimize=optimize,
-                            ),
-                            predicted_makespan_ns=predicted,
-                            wall_cost_s=optimize_cost_s
-                            + compile_cost_s
-                            + instructions * run_s_per_instruction,
-                        )
-                    )
     return candidates, calls_by_optimize
 
 

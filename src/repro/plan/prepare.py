@@ -7,7 +7,10 @@ cost-based planner for ``"auto"``), runs the program optimizer when the
 plan asks for it, compiles it (cached on the program structure) and
 statically verifies the program that will execute.  :func:`execute`
 then runs it on the executor the concrete plan names: the plain
-controller, the bank-parallel dispatcher or the hierarchical dispatcher.
+controller for unsharded plans, the one sharded dispatcher
+(:class:`~repro.controller.hierarchy.HierarchicalDispatcher`) for every
+sharded plan — a flat ``shards=k`` plan is its 1 channel x 1 rank
+placement.
 
 ``PlutoSession.run*``, ``PlutoService``, ``EvaluationHarness.execute_program``
 and the shared artifact store all call these, so what the store persists
@@ -41,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.handles import ApiCall
     from repro.backend.base import ExecutionBackend
     from repro.compiler.lowering import CompiledProgram
-    from repro.controller.dispatch import ParallelDispatcher
     from repro.controller.executor import ExecutionResult, PlutoController
     from repro.controller.hierarchy import HierarchicalDispatcher
     from repro.core.engine import PlutoEngine
@@ -103,7 +105,7 @@ class PreparedProgram:
     @property
     def sharded(self) -> bool:
         """Whether the plan spreads the program over several banks."""
-        return self.plan.hierarchical or self.plan.effective_shards > 1
+        return self.plan.sharded
 
 
 def request_plan(plan: "ExecutionPlan | str | None", engine: "PlutoEngine | None") -> ExecutionPlan:
@@ -171,7 +173,7 @@ def prepare(
     compiled: CompiledProgram | None = None
     # Sharded plans execute per-shard slices, so the whole program is
     # compiled only when it runs unsharded or carries the verdict.
-    if verify or not (chosen.hierarchical or chosen.effective_shards > 1):
+    if verify or not chosen.sharded:
         try:
             compiled, _ = session.compile_cached_with_key(executed, key)
         except ReproError:
@@ -199,8 +201,8 @@ def prepare(
 class Executors:
     """Warm executors for one engine, built on first use.
 
-    Keyed on the backend selection plus the plan facets that shape an
-    executor (dispatcher kind, hierarchy placement), so a caller
+    Keyed on the backend selection plus the plan facet that shapes an
+    executor (the dispatcher's channel/rank placement), so a caller
     that keeps one instance reuses LUT gather arrays, trace templates
     and scheduler memos across requests.  Backend names share an
     executor; distinct backend instances each get their own.
@@ -231,27 +233,14 @@ class Executors:
             lambda: PlutoController(self.engine, backend=backend),
         )
 
-    def banks(self, backend: "str | ExecutionBackend") -> "ParallelDispatcher":
-        """The bank-parallel dispatcher."""
-        from repro.controller.dispatch import ParallelDispatcher
-
-        return self._get(
-            ("banks", self._backend_key(backend)),
-            lambda: ParallelDispatcher(self.engine, backend=backend),
-        )
-
-    def hierarchy(
-        self,
-        backend: "str | ExecutionBackend",
-        *,
-        channels: int | None = None,
-        ranks: int | None = None,
+    def dispatcher(
+        self, backend: "str | ExecutionBackend", *, channels: int, ranks: int
     ) -> "HierarchicalDispatcher":
-        """The hierarchical dispatcher for one channel/rank placement."""
+        """The sharded dispatcher for one channel/rank placement."""
         from repro.controller.hierarchy import HierarchicalDispatcher
 
         return self._get(
-            ("hierarchy", self._backend_key(backend), channels, ranks),
+            ("dispatcher", self._backend_key(backend), channels, ranks),
             lambda: HierarchicalDispatcher(
                 self.engine, backend=backend, channels=channels, ranks=ranks
             ),
@@ -283,22 +272,20 @@ def execute(
 ) -> "ExecutionResult":
     """Run a prepared program on the executor its concrete plan names.
 
-    Sharded plans go to the bank-parallel dispatcher, hierarchical plans
-    to the hierarchical one; everything else compiles (cached) and runs
-    on the controller in ``bank``.  Compiler errors surface here, not in
-    :func:`prepare`.  The result carries the concrete plan, the optimizer
-    report and the planner report with the measured makespan.
+    Sharded plans go to the sharded dispatcher at the plan's
+    :meth:`~repro.plan.ExecutionPlan.placement`; everything else
+    compiles (cached) and runs on the controller in ``bank``.  Compiler
+    errors surface here, not in :func:`prepare`.  The result carries the
+    concrete plan, the optimizer report and the planner report with the
+    measured makespan.
     """
     plan = prepared.plan
     result: ExecutionResult
-    if plan.hierarchical:
-        result = executors.hierarchy(
-            prepared.backend, channels=plan.channels, ranks=plan.ranks
+    if prepared.sharded:
+        channels, ranks = plan.placement(executors.engine.geometry)
+        result = executors.dispatcher(
+            prepared.backend, channels=channels, ranks=ranks
         ).execute(prepared.calls, inputs, shards=plan.shards)
-    elif plan.effective_shards > 1:
-        result = executors.banks(prepared.backend).execute(
-            prepared.calls, inputs, shards=plan.effective_shards
-        )
     else:
         result = executors.controller(prepared.backend).execute(
             _compiled(prepared), dict(inputs), bank=bank, structure_key=prepared.structure_key

@@ -241,24 +241,20 @@ def collect_artifacts(
     shard_products: list[ShardArtifacts] = []
     concrete = prepared.plan
     if prepared.sharded:
-        from repro.controller.dispatch import ShardPlanner
+        from repro.controller.hierarchy import HierarchyPlanner
 
-        geometry = engine.geometry
-        count = concrete.shards
-        if count is None:
-            # Hierarchical plans default to one shard per device bank.
-            count = geometry.channels * geometry.ranks * geometry.banks
+        # The dispatcher's own planner, so the stored slices are exactly
+        # the ones the concrete plan executes.
         seen_lengths: set[int] = set()
-        for start, stop, shard_calls in ShardPlanner.plan_slices(
-            list(prepared.calls), count
+        for shard in HierarchyPlanner.for_plan(concrete, engine.geometry).plan(
+            prepared.calls, concrete.shards
         ):
-            length = stop - start
-            if length in seen_lengths:
+            if shard.size in seen_lengths:
                 continue
-            seen_lengths.add(length)
-            shard_key = hashable_structure_key(shard_calls)
+            seen_lengths.add(shard.size)
+            shard_key = hashable_structure_key(shard.calls)
             shard_compiled, shard_key = compile_cached_with_key(
-                list(shard_calls), shard_key
+                list(shard.calls), shard_key
             )
             assert shard_key is not None
             shard_products.append(

@@ -30,8 +30,8 @@ from repro.backend.compiled import (
     compiled_exec_cached,
     compiled_exec_stats,
 )
-from repro.controller.dispatch import ParallelDispatcher
 from repro.controller.executor import PlutoController
+from repro.controller.hierarchy import HierarchicalDispatcher
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.errors import ExecutionError, LUTError
 from repro.utils.memo import BoundedMemo
@@ -177,10 +177,10 @@ class TestCompiledFused:
     def test_fused_dispatch_uses_compiled_tier(self):
         session, inputs = _mixed_program(66)
         engine = PlutoEngine(PlutoConfig())
-        fused = ParallelDispatcher(engine, fused=True).execute(
+        fused = HierarchicalDispatcher(engine, fused=True).execute(
             session.calls, inputs, shards=3
         )
-        loop = ParallelDispatcher(engine, fused=False).execute(
+        loop = HierarchicalDispatcher(engine, fused=False).execute(
             session.calls, inputs, shards=3
         )
         for name, data in loop.outputs.items():

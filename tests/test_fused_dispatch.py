@@ -13,15 +13,16 @@ import numpy as np
 import pytest
 
 from repro.api.session import PlutoSession, cache_stats, compile_cached
-from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
+from repro.controller.dispatch import plan_slices
 from repro.controller.executor import (
     PlutoController,
     clear_trace_templates,
     trace_template_stats,
 )
-from repro.controller.hierarchy import HierarchicalDispatcher
+from repro.controller.hierarchy import HierarchicalDispatcher, HierarchyPlanner
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
+from repro.dram.geometry import DRAMGeometry
 from repro.errors import ConfigurationError, ExecutionError
 
 ELEMENTS = 640
@@ -84,10 +85,10 @@ class TestFusedParallelDispatch:
     def test_bit_identical_to_per_shard(self, design, shards):
         session, inputs = _mixed_program()
         engine = PlutoEngine(PlutoConfig(design=design, tfaw_fraction=1.0))
-        fused = ParallelDispatcher(engine, fused=True).execute(
+        fused = HierarchicalDispatcher(engine, fused=True).execute(
             session.calls, inputs, shards=shards
         )
-        loop = ParallelDispatcher(engine, fused=False).execute(
+        loop = HierarchicalDispatcher(engine, fused=False).execute(
             session.calls, inputs, shards=shards
         )
         assert fused.backend == loop.backend == "vectorized"
@@ -97,10 +98,10 @@ class TestFusedParallelDispatch:
         """Fused vectorized output == per-shard functional execution."""
         session, inputs = _mixed_program(96)
         engine = PlutoEngine(PlutoConfig())
-        fused = ParallelDispatcher(engine, fused=True).execute(
+        fused = HierarchicalDispatcher(engine, fused=True).execute(
             session.calls, inputs, shards=6
         )
-        oracle = ParallelDispatcher(engine, backend="functional").execute(
+        oracle = HierarchicalDispatcher(engine, backend="functional").execute(
             session.calls, inputs, shards=6
         )
         assert oracle.backend == "functional"
@@ -110,11 +111,11 @@ class TestFusedParallelDispatch:
 
     def test_functional_backend_defaults_to_per_shard(self):
         session, inputs = _mixed_program(64)
-        dispatcher = ParallelDispatcher(backend="functional")
+        dispatcher = HierarchicalDispatcher(backend="functional")
         result = dispatcher.execute(session.calls, inputs, shards=4)
         assert result.backend == "functional"
         with pytest.raises(ConfigurationError, match="cannot run fused"):
-            ParallelDispatcher(backend="functional", fused=True).execute(
+            HierarchicalDispatcher(backend="functional", fused=True).execute(
                 session.calls, inputs, shards=4
             )
 
@@ -123,10 +124,10 @@ class TestFusedParallelDispatch:
         session, inputs = _mixed_program(29)
         engine = PlutoEngine(PlutoConfig())
         reference = session.run(inputs, engine=engine)
-        fused = ParallelDispatcher(engine, fused=True).execute(
+        fused = HierarchicalDispatcher(engine, fused=True).execute(
             session.calls, inputs, shards=6
         )
-        sizes = {plan.size for plan in fused.shard_plans}
+        sizes = {plan.size for plan in fused.shards}
         assert sizes == {4, 5}
         for name, data in reference.outputs.items():
             assert np.array_equal(fused.outputs[name], data), name
@@ -193,7 +194,7 @@ class TestExecuteFused:
         clear_trace_templates()
         session, inputs = _mixed_program(32)
         engine = PlutoEngine(PlutoConfig())
-        dispatcher = ParallelDispatcher(engine, fused=True)
+        dispatcher = HierarchicalDispatcher(engine, fused=True)
         dispatcher.execute(session.calls, inputs, shards=4)
         first = trace_template_stats()
         assert first["misses"] >= 1
@@ -207,12 +208,12 @@ class TestPlannerSharing:
     def test_equal_shards_share_call_tuples(self):
         """The resize fix: one rewritten program per distinct shard size."""
         session, _ = _mixed_program(64)
-        plans = ShardPlanner(num_banks=16).plan(session.calls, 8)
+        plans = HierarchyPlanner(DRAMGeometry()).plan(session.calls, 8)
         assert all(plan.calls is plans[0].calls for plan in plans)
 
     def test_two_sizes_share_within_each_group(self):
         session, _ = _mixed_program(29)
-        plans = ShardPlanner(num_banks=16).plan(session.calls, 6)
+        plans = HierarchyPlanner(DRAMGeometry()).plan(session.calls, 6)
         by_size = {}
         for plan in plans:
             by_size.setdefault(plan.size, set()).add(id(plan.calls))
@@ -221,7 +222,7 @@ class TestPlannerSharing:
 
     def test_full_size_slice_reuses_original_calls(self):
         session, _ = _mixed_program(64)
-        slices = ShardPlanner.plan_slices(session.calls, 1)
+        slices = plan_slices(session.calls, 1)
         assert slices[0][2] == tuple(session.calls)
         assert slices[0][2][0] is session.calls[0]
 

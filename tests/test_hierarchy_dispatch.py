@@ -17,8 +17,10 @@ from repro.controller.hierarchy import (
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.dram.commands import Command, CommandType
 from repro.dram.geometry import DRAMGeometry
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ConfigurationError, ExecutionError, VerificationError
 from repro.plan import ExecutionPlan
+from repro.plan.planner import reset_cost_priors
+from repro.workloads.programs import workload_program
 
 ELEMENTS = 1024
 
@@ -91,6 +93,46 @@ class TestHierarchyPlanner:
         assert plans[-1].stop == 29
         for before, after in zip(plans, plans[1:]):
             assert before.stop == after.start
+
+
+class TestShardPlanVerification:
+    """The dispatcher verifies its shard plan against the whole placement."""
+
+    def test_full_device_plan_verifies_clean(self):
+        session, _ = _program(256)
+        planner = HierarchyPlanner(DRAMGeometry(channels=2, ranks=2))
+        report = planner.verify(planner.plan(session.calls, 64))
+        assert report.clean, report.codes()
+
+    def test_dispatcher_verifies_under_the_engine_mode(self, monkeypatch):
+        session, inputs = _program(64)
+        engine = PlutoEngine(PlutoConfig(channels=2, ranks=2, verify="always"))
+        dispatcher = HierarchicalDispatcher(engine)
+        assert dispatcher.execute(session.calls, inputs, shards=64).num_shards == 64
+
+        plan = HierarchyPlanner.plan
+
+        def aliased(self, calls, shards=None):
+            plans = plan(self, calls, shards)
+            return [plans[0], *plans]  # shard 0's slice twice
+
+        monkeypatch.setattr(HierarchyPlanner, "plan", aliased)
+        with pytest.raises(VerificationError, match="aliased-slices"):
+            dispatcher.execute(session.calls, inputs, shards=4)
+
+    @pytest.mark.parametrize("entry", ["run", "run_hierarchical"])
+    def test_auto_runs_its_own_multi_channel_plans(self, entry):
+        """auto on a 2 x 2 device picks a 32-shard hierarchical plan for
+        the 262,144-element image pipeline, and that plan must execute."""
+        reset_cost_priors()
+        program = workload_program("image", 262144)
+        engine = _engine(2, 2)
+        result = getattr(program.session, entry)(
+            program.inputs, engine=engine, plan="auto"
+        )
+        assert result.execution_plan.hierarchical
+        assert result.num_shards > engine.geometry.banks
+        assert result.planner.predicted_makespan_ns == result.latency_ns
 
 
 class TestDifferential:

@@ -7,7 +7,7 @@ branches (outputs declared as a subset) — and every generated program is
 executed optimized and unoptimized, asserting **bit-identical** declared
 outputs across the functional/vectorized backends, the three pLUTo
 designs, and sharded execution (``shards=N`` composing with
-``optimize=True`` through the ``ShardPlanner``).
+``optimize=True`` through the ``HierarchyPlanner``).
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ def _assert_compiled_matches(rng, operations, design) -> None:
     the optimized program, with fused sharded execution matching too."""
     from repro.api.session import compile_cached_with_key
     from repro.backend.compiled import compile_program
-    from repro.controller.dispatch import ParallelDispatcher
     from repro.controller.executor import PlutoController
+    from repro.controller.hierarchy import HierarchicalDispatcher
 
     session, inputs, declared = random_program(rng, operations=operations)
     optimized = optimize_program(session.calls, outputs=declared)
@@ -252,10 +252,10 @@ def _assert_compiled_matches(rng, operations, design) -> None:
         # Fused sharded execution routes through the compiled closure:
         # its outputs match the functional oracle and its schedule the
         # per-shard walk's.
-        fused = ParallelDispatcher(engine, fused=True).execute(
+        fused = HierarchicalDispatcher(engine, fused=True).execute(
             calls, external, shards=3
         )
-        per_shard = ParallelDispatcher(engine, fused=False).execute(
+        per_shard = HierarchicalDispatcher(engine, fused=False).execute(
             calls, external, shards=3
         )
         for name, data in functional.outputs.items():

@@ -1,28 +1,43 @@
-"""Tests for bank-parallel sharded execution (controller/dispatch.py)."""
+"""Tests for flat bank-parallel sharded execution.
+
+A flat ``shards=k`` plan runs through the one sharded dispatcher as its
+1 channel x 1 rank placement (controller/hierarchy.py), built from the
+slicing, fused execution and rank-merge pieces of controller/dispatch.py.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.api.session import PlutoSession
+from repro.api.session import PlutoSession, compile_cached
 from repro.controller.dispatch import (
-    ParallelDispatcher,
-    ShardedExecutionResult,
-    ShardPlanner,
     merged_makespan_ns,
+    plan_slices,
     sweep_act_interval_ns,
     sweep_acts_per_row,
     sweep_tail_ns,
 )
+from repro.controller.hierarchy import (
+    HierarchicalDispatcher,
+    HierarchicalExecutionResult,
+    HierarchyPlanner,
+    interleaved_bank_order,
+)
+from repro.controller.executor import PlutoController
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
+from repro.dram.commands import CommandTrace
+from repro.dram.geometry import DRAMGeometry
 from repro.dram.scheduler import activation_count, tfaw_lower_bound_ns
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, VerificationError
 from repro.plan import ExecutionPlan
+from repro.workloads.programs import workload_program
 
 
 ELEMENTS = 4096
+#: The registry families every front door must agree on.
+FAMILIES = ("image", "crc", "salsa20", "vmpc", "bitcount", "vector_ops")
 
 
 def _program(elements: int = ELEMENTS) -> tuple[PlutoSession, dict]:
@@ -46,12 +61,13 @@ def _program(elements: int = ELEMENTS) -> tuple[PlutoSession, dict]:
     return session, inputs
 
 
-class TestShardPlanner:
+class TestFlatShardPlanning:
     def test_balanced_contiguous_slices(self):
         session, _ = _program(10)
-        plans = ShardPlanner(num_banks=16).plan(session.calls, 3)
+        geometry = DRAMGeometry()
+        plans = HierarchyPlanner(geometry).plan(session.calls, 3)
         assert [(p.start, p.stop) for p in plans] == [(0, 4), (4, 7), (7, 10)]
-        assert [p.bank for p in plans] == [0, 1, 2]
+        assert [p.bank for p in plans] == list(interleaved_bank_order(geometry)[:3])
         for plan in plans:
             sizes = {
                 v.size for call in plan.calls for v in (*call.inputs, call.output)
@@ -61,16 +77,16 @@ class TestShardPlanner:
     def test_rejects_more_shards_than_banks(self):
         session, _ = _program(64)
         with pytest.raises(ConfigurationError):
-            ShardPlanner(num_banks=4).plan(session.calls, 8)
+            HierarchyPlanner(DRAMGeometry(bank_groups=1)).plan(session.calls, 8)
 
     def test_rejects_more_shards_than_elements(self):
         session, _ = _program(2)
         with pytest.raises(ConfigurationError):
-            ShardPlanner(num_banks=16).plan(session.calls, 3)
+            HierarchyPlanner(DRAMGeometry()).plan(session.calls, 3)
 
     def test_rejects_empty_program(self):
         with pytest.raises(ConfigurationError):
-            ShardPlanner().plan([], 2)
+            HierarchyPlanner(DRAMGeometry()).plan([], 2)
 
     def test_rejects_non_uniform_sizes(self):
         first = PlutoSession()
@@ -84,7 +100,7 @@ class TestShardPlanner:
         out2 = second.pluto_malloc(16, 8, "out2")
         second.api_pluto_add(c, d, out2, bit_width=4)
         with pytest.raises(ConfigurationError):
-            ShardPlanner().plan(first.calls + second.calls, 2)
+            HierarchyPlanner(DRAMGeometry()).plan(first.calls + second.calls, 2)
 
 
 class TestDifferential:
@@ -97,10 +113,10 @@ class TestDifferential:
         session.backend = backend
         engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0))
         reference = session.run(inputs, engine=engine)
-        result = ParallelDispatcher(engine, backend=backend).execute(
+        result = HierarchicalDispatcher(engine, backend=backend).execute(
             session.calls, inputs, shards=shards
         )
-        assert isinstance(result, ShardedExecutionResult)
+        assert isinstance(result, HierarchicalExecutionResult)
         assert result.num_shards == shards
         for name, data in reference.outputs.items():
             assert np.array_equal(result.outputs[name], data), name
@@ -109,7 +125,7 @@ class TestDifferential:
     def test_makespan_between_bounds(self, shards):
         session, inputs = _program()
         engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0))
-        result = ParallelDispatcher(engine).execute(
+        result = HierarchicalDispatcher(engine).execute(
             session.calls, inputs, shards=shards
         )
         # Strictly faster than draining every shard through one bank ...
@@ -126,7 +142,7 @@ class TestDifferential:
         engine = PlutoEngine(
             PlutoConfig(design=any_design, tfaw_fraction=1.0)
         )
-        result = ParallelDispatcher(engine).execute(session.calls, inputs, shards=1)
+        result = HierarchicalDispatcher(engine).execute(session.calls, inputs, shards=1)
         assert result.makespan_ns == pytest.approx(
             result.serial_latency_ns, rel=1e-6
         )
@@ -137,7 +153,7 @@ class TestDifferential:
         from repro.errors import ExecutionError
 
         session, inputs = _program(16)
-        dispatcher = ParallelDispatcher()
+        dispatcher = HierarchicalDispatcher()
         oversized = dict(inputs, a=np.zeros(32, dtype=np.uint64))
         with pytest.raises(ExecutionError):
             dispatcher.execute(session.calls, oversized, shards=2)
@@ -151,7 +167,7 @@ class TestDifferential:
         # (and sweeps) per bank until every shard is down to one row.
         session, inputs = _program(32768)
         engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0))
-        dispatcher = ParallelDispatcher(engine)
+        dispatcher = HierarchicalDispatcher(engine)
         makespans = [
             dispatcher.execute(session.calls, inputs, shards=n).makespan_ns
             for n in (1, 2, 4)
@@ -159,12 +175,65 @@ class TestDifferential:
         assert makespans[0] > makespans[1] > makespans[2]
 
 
+class TestFlatPlacementReference:
+    """A flat ``shards=k`` plan is the 1 channel x 1 rank placement.
+
+    The reference is the flat semantics computed by hand: slice ``i``
+    runs alone in bank ``i`` and the rank merges the shard streams.  The
+    dispatcher places shard ``i`` in ``interleaved_bank_order[i]``
+    instead; no emitted command has bank-group-dependent timing, so
+    every number must match to the bit.
+    """
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize(
+        "design", [PlutoDesign.BSA, PlutoDesign.GSA, PlutoDesign.GMC]
+    )
+    @pytest.mark.parametrize("shards", [2, 8, 16])
+    def test_bit_identical_to_flat_bank_placement(self, family, design, shards):
+        program = workload_program(family, 2048)
+        engine = PlutoEngine(PlutoConfig(design=design, tfaw_fraction=1.0))
+        result = program.session.run(
+            program.inputs, engine=engine, plan=ExecutionPlan(shards=shards)
+        )
+
+        controller = PlutoController(engine, backend="vectorized")
+        references = [
+            controller.execute(
+                compile_cached(list(calls)),
+                {name: data[start:stop] for name, data in program.inputs.items()},
+                bank=bank,
+            )
+            for bank, (start, stop, calls) in enumerate(
+                plan_slices(program.session.calls, shards)
+            )
+        ]
+        serial = CommandTrace(timing=engine.timing, energy=engine.energy)
+        for reference in references:
+            serial.merge(reference.trace)
+        makespan = merged_makespan_ns(
+            [reference.trace.commands for reference in references], engine
+        )
+
+        assert result.num_shards == shards
+        assert result.makespan_ns == makespan
+        assert result.latency_ns == makespan
+        assert result.serial_latency_ns == serial.total_latency_ns
+        assert result.energy_nj == serial.total_energy_nj
+        for name in references[0].outputs:
+            expected = np.concatenate([ref.outputs[name] for ref in references])
+            assert np.array_equal(result.outputs[name], expected), name
+        assert [shard.bank for shard in result.shards] == list(
+            interleaved_bank_order(engine.geometry)[:shards]
+        )
+
+
 class TestSessionSurface:
     def test_run_with_shards(self):
         session, inputs = _program()
         reference = session.run(inputs)
         sharded = session.run(inputs, plan=ExecutionPlan(shards=4))
-        assert isinstance(sharded, ShardedExecutionResult)
+        assert isinstance(sharded, HierarchicalExecutionResult)
         assert np.array_equal(sharded.outputs["final"], reference.outputs["final"])
         assert sharded.parallel_speedup > 1.0
         with pytest.raises(ConfigurationError):
@@ -192,6 +261,14 @@ class TestSessionSurface:
         session, inputs = _program(64)
         with pytest.raises(ConfigurationError, match="16 banks"):
             session.run(inputs, plan=ExecutionPlan(shards=17))
+
+    def test_flat_overcommit_is_a_verification_error(self):
+        """A flat plan is capped at one rank's banks, even on a wider device."""
+        session, inputs = _program(64)
+        engine = PlutoEngine(PlutoConfig(channels=2, ranks=2))
+        with pytest.raises(VerificationError, match="16 banks") as excinfo:
+            session.run(inputs, engine=engine, plan=ExecutionPlan(shards=17))
+        assert [d.code for d in excinfo.value.diagnostics] == ["shards-overcommit"]
 
     def test_run_batch_parallel_warns_when_oversubscribed(self):
         """More jobs than banks clamps round-robin with a warning.
@@ -232,7 +309,7 @@ class TestSessionSurface:
         )
         assert set(sharded) == set(plain)
         for label, result in sharded.items():
-            assert isinstance(result, ShardedExecutionResult)
+            assert isinstance(result, HierarchicalExecutionResult)
             assert np.array_equal(
                 result.outputs["final"], plain[label].outputs["final"]
             ), label

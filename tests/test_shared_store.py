@@ -10,6 +10,7 @@ import pytest
 from repro.api import PlutoSession
 from repro.api.session import cache_stats, clear_all_caches
 from repro.core.engine import PlutoConfig, PlutoEngine
+from repro.plan import ExecutionPlan
 from repro.serve.store import (
     ARTIFACT_SCHEMA_VERSION,
     SharedArtifactStore,
@@ -143,6 +144,43 @@ class TestWarmStart:
         assert after["programs"]["size"] == before["programs"]["size"]
         for name, array in cold.outputs.items():
             assert np.array_equal(array, warm.outputs[name])
+
+    def test_narrowed_hierarchical_plan_warm_starts_its_own_slices(
+        self, tmp_path
+    ):
+        """The stored slices are the dispatched ones: on a 2 x 2 device a
+        plan narrowed to one channel and one rank runs 16 slices of 256
+        elements, and a warm-started process compiles none of them."""
+        program = workload_program("crc", elements=4096, seed=1)
+        engine = PlutoEngine(PlutoConfig(channels=2, ranks=2))
+        plan = ExecutionPlan(hierarchical=True, channels=1, ranks=1)
+        store = SharedArtifactStore(tmp_path / "store")
+        artifacts = store.export(program.session.calls, engine, plan=plan)
+        assert len(artifacts.shards) == 1
+        cold = program.session.run(program.inputs, engine=engine, plan=plan)
+        assert {shard.size for shard in cold.shards} == {256}
+
+        clear_all_caches()
+        assert store.warm_start(engine).installed == 1
+        before = cache_stats()
+        warm = program.session.run(program.inputs, engine=engine, plan=plan)
+        after = cache_stats()
+        for layer in WARM_LAYERS:
+            misses = after[layer]["misses"] - before[layer]["misses"]
+            assert misses == 0, f"{layer} took {misses} cold miss(es)"
+        assert after["programs"]["size"] == before["programs"]["size"]
+        for name, array in cold.outputs.items():
+            assert np.array_equal(array, warm.outputs[name])
+
+    def test_small_hierarchical_program_collects_like_it_runs(self):
+        """A device-wide plan over fewer elements than banks caps its
+        shard count at the element count, in dispatch and in the store."""
+        program = workload_program("crc", elements=8, seed=1)
+        plan = ExecutionPlan(hierarchical=True)
+        result = program.session.run(program.inputs, plan=plan)
+        assert result.num_shards == 8
+        artifacts = collect_artifacts(program.session.calls, plan=plan)
+        assert len(artifacts.shards) == 1
 
     def test_warm_start_installs_every_family(self, tmp_path):
         store = SharedArtifactStore(tmp_path / "store")

@@ -36,7 +36,7 @@ from repro.analyze.verifier import clear_verifier_cache, verifier_cache_stats
 from repro.api.handles import ApiCall, PlutoVector
 from repro.api.session import PlutoSession
 from repro.compiler.lowering import CompiledProgram, program_structure_key
-from repro.controller.dispatch import ShardPlan
+from repro.controller.hierarchy import HierarchyShard
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.core.lut import LookupTable
 from repro.errors import ConfigurationError, VerificationError
@@ -316,8 +316,17 @@ class TestCompiledVerification:
 
 class TestShardPlanVerification:
     @staticmethod
-    def _plan(index, bank, start, stop) -> ShardPlan:
-        return ShardPlan(index=index, bank=bank, start=start, stop=stop, calls=())
+    def _plan(index, bank, start, stop, channel=0, rank=0) -> HierarchyShard:
+        return HierarchyShard(
+            index=index,
+            channel=channel,
+            rank=rank,
+            bank_group=bank // 4,
+            bank=bank,
+            start=start,
+            stop=stop,
+            calls=(),
+        )
 
     def test_disjoint_plans_are_clean(self):
         plans = [self._plan(0, 0, 0, 32), self._plan(1, 1, 32, 64)]
@@ -348,6 +357,21 @@ class TestShardPlanVerification:
         report = verify_shard_plans(plans, num_banks=16)
         assert report.ok
         assert "duplicate-bank" in report.codes()
+
+    def test_placement_aware_capacity_and_duplicates(self):
+        """A 2 x 2 placement offers 64 banks, keyed on (channel, rank, bank)."""
+        plans = [
+            self._plan(i, i // 4, 4 * i, 4 * (i + 1), channel=i % 2, rank=(i // 2) % 2)
+            for i in range(64)
+        ]
+        report = verify_shard_plans(plans, num_banks=16, channels=2, ranks=2)
+        assert report.clean
+        overcommitted = verify_shard_plans(
+            [*plans, self._plan(64, 0, 256, 260)], num_banks=16, channels=2, ranks=2
+        )
+        assert {"shards-overcommit", "duplicate-bank"} <= overcommitted.codes()
+        (finding,) = overcommitted.errors
+        assert "64 banks" in finding.message
 
     def test_shards_overcommit(self):
         plans = [self._plan(i, i, 4 * i, 4 * (i + 1)) for i in range(20)]
