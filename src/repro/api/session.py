@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.opt.pipeline import OptimizedProgram
     from repro.plan.execution_plan import ExecutionPlan
     from repro.plan.planner import PlannerReport
-    from repro.plan.prepare import PreparedProgram
+    from repro.plan.prepare import Executors, PreparedProgram
 
 __all__ = [
     "PlutoSession",
@@ -312,6 +312,10 @@ class PlutoSession:
     calls: list[ApiCall] = field(default_factory=list)
     _counter: int = 0
     backend: "str | ExecutionBackend" = "vectorized"
+    #: The engine runs use when the caller passes none (built on first use).
+    _default_engine: "PlutoEngine | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ #
     # Memory allocation (Section 6.2, "Memory Allocation")
@@ -504,6 +508,24 @@ class PlutoSession:
 
         return prepare(self.calls, engine, plan, backend=self.backend, modes=modes)
 
+    def _executors(self, engine: "PlutoEngine | None") -> "Executors":
+        """The warm executors of ``engine``, or of the session's default engine.
+
+        Held by the engine (:meth:`Executors.of`), so repeated runs reuse
+        one controller and dispatcher and the session keeps no caller
+        engine alive.  Only execution uses the default engine: planning
+        and verification still see ``engine=None`` (verify off).
+        """
+        from repro.plan.prepare import Executors
+
+        if engine is None:
+            if self._default_engine is None:
+                from repro.core.engine import PlutoConfig, PlutoEngine
+
+                self._default_engine = PlutoEngine(PlutoConfig())
+            engine = self._default_engine
+        return Executors.of(engine)
+
     @staticmethod
     def _finish_trace(trace: "RequestTrace | None", result: "ExecutionResult") -> None:
         """Annotate a run's trace with its hardware attribution and attach it."""
@@ -557,14 +579,14 @@ class PlutoSession:
         :class:`~repro.opt.report.OptimizationReport` on
         ``result.optimization``.
         """
-        from repro.plan.prepare import ALL_MODES, Executors, execute
+        from repro.plan.prepare import ALL_MODES, execute
 
         trace = new_trace("session.run")
         token = activate(trace)
         try:
             prepared = self._prepare(engine, plan, modes=ALL_MODES)
             with span_of(trace, "execute"):
-                result = execute(prepared, inputs, Executors(engine))
+                result = execute(prepared, inputs, self._executors(engine))
         finally:
             deactivate(token)
         self._finish_trace(trace, result)
@@ -592,7 +614,7 @@ class PlutoSession:
         plans — each job is one whole program; per-job sharding goes
         through :meth:`run`.
         """
-        from repro.plan.prepare import Executors, execute
+        from repro.plan.prepare import execute
 
         trace = new_trace("session.run_batch")
         token = activate(trace)
@@ -603,7 +625,7 @@ class PlutoSession:
                     "run_batch executes each job as one unsharded program; "
                     "sharded/hierarchical plans go through run()"
                 )
-            executors = Executors(engine)
+            executors = self._executors(engine)
             makespan = None
             if not parallel:
                 with span_of(trace, "execute") as span:
@@ -679,7 +701,7 @@ class PlutoSession:
         """
         from dataclasses import replace
 
-        from repro.plan.prepare import Executors, execute, request_plan
+        from repro.plan.prepare import execute, request_plan
 
         resolved = request_plan(plan, engine)
         if not resolved.is_auto and not resolved.hierarchical:
@@ -694,7 +716,7 @@ class PlutoSession:
                     f"{prepared.plan.label()!r}"
                 )
             with span_of(trace, "execute"):
-                result = execute(prepared, inputs, Executors(engine))
+                result = execute(prepared, inputs, self._executors(engine))
         finally:
             deactivate(token)
         self._finish_trace(trace, result)

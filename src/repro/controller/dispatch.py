@@ -300,7 +300,7 @@ def execute_shard_plans(
     arrays: Mapping[str, np.ndarray],
     *,
     fused: bool | None = None,
-) -> list[ExecutionResult]:
+) -> tuple[list[ExecutionResult], list[dict[str, np.ndarray]] | None]:
     """Execute shard plans, fused in one batched pass when possible.
 
     ``plans`` is a sequence of shard plans with ``index`` / ``bank`` /
@@ -308,11 +308,22 @@ def execute_shard_plans(
     :class:`~repro.controller.hierarchy.HierarchyShard`).  With a
     batched-capable backend (``fused=None`` auto-detects; ``False``
     forces the per-shard oracle loop) the equal-sized shards are
-    grouped, their input slices
-    stacked into ``(shards, slice)`` views, and each group executes in a
-    single controller pass — one NumPy gather per LUT query instead of
-    ``shards`` trips through the controller.  Outputs, traces, and
-    per-shard results are identical to the per-shard loop.
+    grouped and each group executes in a single controller pass — one
+    NumPy gather per LUT query instead of ``shards`` trips through the
+    controller.  Outputs, traces, and per-shard results are identical to
+    the per-shard loop.
+
+    :func:`plan_slices` puts its larger slices first, so each size group
+    covers one contiguous element range, and the group's inputs are fed
+    as ``data[start:stop].reshape(shards, size)`` views: no input element
+    is copied.  Only a hand-built plan list whose group is not contiguous
+    stacks that group's slices into a new array.
+
+    Returns the per-shard results (in ``plans`` order) and, when the
+    groups ran fused and tile the element space in plan order, each
+    group's stacked ``(shards, size)`` register arrays in element order —
+    the blocks the merged full-length arrays are built from.  The second
+    item is ``None`` otherwise.
     """
     from repro.api.session import compile_cached, compile_cached_with_key
 
@@ -332,25 +343,52 @@ def execute_shard_plans(
             results.append(
                 controller.execute(compiled, shard_inputs, bank=plan.bank)
             )
-        return results
+        return results, None
 
     results: list[ExecutionResult | None] = [None] * len(plans)
     groups: dict[int, list] = {}
     for plan in plans:
         groups.setdefault(plan.stop - plan.start, []).append(plan)
-    for group in groups.values():
+    blocks: list[dict[str, np.ndarray]] | None = []
+    # The blocks concatenate to the merged arrays only while each group
+    # continues, in elements and in shard indices, where the last ended.
+    tiled = done = 0
+    for size, group in groups.items():
         compiled, structure_key = compile_cached_with_key(group[0].calls)
-        stacked = {
-            name: np.stack([data[plan.start : plan.stop] for plan in group])
-            for name, data in arrays.items()
-        }
-        banks = [plan.bank for plan in group]
-        fused_results = controller.execute_fused(
-            compiled, stacked, banks=banks, structure_key=structure_key
+        first, last = group[0], group[-1]
+        contiguous = all(
+            later.start == earlier.stop for earlier, later in zip(group, group[1:])
+        )
+        if contiguous:
+            stacked = {
+                name: data[first.start : last.stop].reshape(len(group), size)
+                for name, data in arrays.items()
+            }
+        else:
+            stacked = {
+                name: np.stack([data[plan.start : plan.stop] for plan in group])
+                for name, data in arrays.items()
+            }
+        fused_results, registers = controller._execute_fused(
+            compiled,
+            stacked,
+            banks=[plan.bank for plan in group],
+            structure_key=structure_key,
         )
         for plan, result in zip(group, fused_results):
             results[plan.index] = result
-    return results  # type: ignore[return-value]
+        if (
+            blocks is not None
+            and registers is not None
+            and contiguous
+            and first.start == tiled
+            and all(plan.index == done + offset for offset, plan in enumerate(group))
+        ):
+            blocks.append(registers)
+            tiled, done = last.stop, done + len(group)
+        else:
+            blocks = None
+    return results, blocks  # type: ignore[return-value]
 
 
 from repro.controller.hierarchy import HierarchicalDispatcher  # noqa: E402

@@ -78,19 +78,45 @@ class TraceTemplate:
     lut_queries: int
     instructions_executed: int
 
+    def __post_init__(self) -> None:
+        # Observability pins shared by every realization (the pin store
+        # ``repro.obs.metrics`` reads through ``_obs_pins``), and the
+        # bank-placed command tuples.  Both live beside the dataclass
+        # fields; neither is part of equality.
+        object.__setattr__(self, "_obs_pins", {})
+        object.__setattr__(self, "_placed", {0: self.commands})
+
+    def __getstate__(self) -> dict:
+        # The per-bank placements are rebuilt on demand; persisting them
+        # would multiply a stored template by the banks it ran in.
+        state = dict(self.__dict__)
+        del state["_placed"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__.setdefault("_obs_pins", {})
+        self.__dict__["_placed"] = {0: self.commands}
+
     def realize(self, timing, energy, *, bank: int) -> CommandTrace:
-        """A concrete trace of this template placed in ``bank``."""
-        if bank == 0:
-            # Templates are recorded against bank 0, and Command is
-            # frozen, so placement there shares the command objects
-            # instead of rewriting every one.
-            commands = list(self.commands)
-        else:
-            commands = [replace(command, bank=bank) for command in self.commands]
+        """A concrete trace of this template placed in ``bank``.
+
+        Command is frozen and the placement depends only on (template,
+        bank), so each bank's rewritten command tuple is built once and a
+        realization costs one list copy.  The controller realizes only
+        banks its geometry holds, which bounds the per-bank cache by the
+        geometry's bank count.
+        """
+        placed: dict[int, tuple[Command, ...]] = self.__dict__["_placed"]
+        commands = placed.get(bank)
+        if commands is None:
+            commands = placed[bank] = tuple(
+                replace(command, bank=bank) for command in self.commands
+            )
         trace = CommandTrace(
             timing=timing,
             energy=energy,
-            commands=commands,
+            commands=list(commands),
             total_latency_ns=self.total_latency_ns,
             total_energy_nj=self.total_energy_nj,
         )
@@ -99,7 +125,7 @@ class TraceTemplate:
         # link every realization to one shared pin store so
         # ``repro.obs.metrics`` computes it once per structure, not once
         # per request (see ``_obs_pins`` handling there).
-        trace.__dict__["_obs_pins"] = self.__dict__
+        trace.__dict__["_obs_pins"] = self.__dict__["_obs_pins"]
         return trace
 
 
@@ -477,10 +503,35 @@ class PlutoController:
         :meth:`execute` — the backend operations are element-wise, so
         stacking adds an axis without changing any value.
 
+        Shard *i*'s outputs and registers are row views ``final[i]`` of
+        the pass's stacked final arrays, not copies; as in an unsharded
+        compiled execution, a shard's outputs share its register
+        snapshot.  Only finals the closure never rebinds (which may be
+        the caller's own input, or a view of it) are copied, once per
+        call as a whole array, so no result aliases the inputs.
+
         Requires a backend with ``supports_batched`` (the vectorized
         backend); the functional backend keeps the per-shard loop as the
         bit-exactness oracle.  A keyless program, or one whose closure
         cannot run stacked, executes row by row through :meth:`execute`.
+        """
+        return self._execute_fused(
+            compiled, inputs, banks=banks, structure_key=structure_key
+        )[0]
+
+    def _execute_fused(
+        self,
+        compiled: CompiledProgram,
+        inputs: dict[str, np.ndarray],
+        *,
+        banks: Sequence[int],
+        structure_key: tuple | None,
+    ) -> tuple[list[ExecutionResult], dict[str, np.ndarray] | None]:
+        """Run :meth:`execute_fused`; also return the stacked registers.
+
+        The second item maps each register name to the ``(shards, size)``
+        array whose rows are the per-shard registers, or is ``None`` when
+        the shards ran row by row.
         """
         backend = self.backend
         if not backend.supports_batched:
@@ -490,7 +541,7 @@ class PlutoController:
             )
         shards = len(banks)
         if shards == 0:
-            return []
+            return [], None
         geometry = self.engine.geometry
         for bank in banks:
             if not 0 <= bank < geometry.banks:
@@ -510,43 +561,37 @@ class PlutoController:
                     structure_key=structure_key,
                 )
                 for shard, bank in enumerate(banks)
-            ]
+            ], None
         template = self.trace_template(compiled, structure_key=structure_key)
-        register_by_vector = compiled.vector_bindings
-        # The whole stacked batch runs through the compiled closure; only
-        # the per-shard result assembly below stays in Python.
         finals = executable.run_finals(inputs, shards=shards)
-        values = {
-            slot: finals[position]
-            for position, slot in enumerate(executable.final_slots)
+        # A supports_fused closure never writes into an array in place
+        # (partial-row moves clear supports_fused; full moves copy), so
+        # every final it rebinds is a fresh array nothing else holds.
+        # Only never-rebound finals may be the caller's input (a view of
+        # it, on the sharded path): those are copied once, whole.
+        finals = tuple(
+            final.copy() if copy else final
+            for final, copy in zip(finals, executable.copy_finals)
+        )
+        stacked = {
+            name: finals[position] for name, position in executable.register_bindings
         }
-
+        output_names = [name for name, _ in executable.output_bindings]
+        timing, energy = self.engine.timing, self.engine.energy
         results: list[ExecutionResult] = []
         for shard, bank in enumerate(banks):
-            outputs = {
-                vector.name: values[register_by_vector[vector.name].index][
-                    shard
-                ].copy()
-                for vector in compiled.outputs
-            }
-            registers = {
-                name: values[register.index][shard].copy()
-                for name, register in register_by_vector.items()
-                if register.index in values
-            }
+            registers = {name: final[shard] for name, final in stacked.items()}
             results.append(
                 ExecutionResult(
-                    outputs=outputs,
-                    trace=template.realize(
-                        self.engine.timing, self.engine.energy, bank=bank
-                    ),
+                    outputs={name: registers[name] for name in output_names},
+                    trace=template.realize(timing, energy, bank=bank),
                     lut_queries=template.lut_queries,
                     instructions_executed=template.instructions_executed,
                     registers=registers,
                     backend=backend.name,
                 )
             )
-        return results
+        return results, stacked
 
     @staticmethod
     def _check_stacked_inputs(

@@ -388,6 +388,14 @@ class HierarchicalExecutionResult(ExecutionResult):
     one channel; :attr:`makespan_ns` (= :attr:`latency_ns`) uses the full
     channel/rank/bank hierarchy.  Each level can only help, so the four
     values are monotonically non-increasing.
+
+    Arrays are shared, not copied, just as an unsharded result's outputs
+    share its register snapshot.  On the fused path each shard's outputs
+    and registers are row views of its size group's stacked arrays; with
+    one size group the merged arrays are views of those same arrays (so
+    shard *i*'s outputs view the merged outputs' ``[start:stop]``), with
+    two they are one concatenation.  No array aliases the caller's
+    inputs.
     """
 
     shard_results: list[ExecutionResult] = field(default_factory=list)
@@ -514,10 +522,10 @@ class HierarchicalDispatcher:
             self.planner.verify(plans).raise_if_errors()
         arrays = {name: np.asarray(data) for name, data in inputs.items()}
         self._check_inputs(calls, arrays)
-        shard_results = execute_shard_plans(
+        shard_results, blocks = execute_shard_plans(
             self.controller, plans, arrays, fused=self.fused
         )
-        return self._merge(plans, shard_results)
+        return self._merge(plans, shard_results, blocks)
 
     @staticmethod
     def _check_inputs(
@@ -542,11 +550,17 @@ class HierarchicalDispatcher:
                 raise ExecutionError(
                     f"input {name!r} has {data.size} elements, expected {vector.size}"
                 )
+            if data.ndim != 1:
+                raise ExecutionError(
+                    f"input {name!r} has shape {data.shape}; sharded execution "
+                    "slices one-dimensional element arrays"
+                )
 
     def _merge(
         self,
         plans: list[HierarchyShard],
         shard_results: list[ExecutionResult],
+        blocks: list[dict[str, np.ndarray]] | None,
     ) -> HierarchicalExecutionResult:
         engine = self.engine
         merged_trace = CommandTrace(timing=engine.timing, energy=engine.energy)
@@ -570,14 +584,33 @@ class HierarchicalDispatcher:
             schedules = _schedule_levels(streams, engine, ((1, 1), rank_level, full))
         makespan, rank_makespans, channel_makespans = schedules[full]
 
-        outputs = {
-            name: np.concatenate([result.outputs[name] for result in shard_results])
-            for name in shard_results[0].outputs
-        }
-        registers = {
-            name: np.concatenate([result.registers[name] for result in shard_results])
-            for name in shard_results[0].registers
-        }
+        if blocks is None:
+            # Per-shard results (the oracle loop, or fused groups that do
+            # not tile the element space in shard order): concatenate.
+            outputs = {
+                name: np.concatenate([result.outputs[name] for result in shard_results])
+                for name in shard_results[0].outputs
+            }
+            registers = {
+                name: np.concatenate(
+                    [result.registers[name] for result in shard_results]
+                )
+                for name in shard_results[0].registers
+            }
+        else:
+            # Fused size groups, in element order: one group's stacked
+            # (shards, size) finals flatten to the full arrays as views;
+            # two groups join in one concatenation per register.
+            if len(blocks) == 1:
+                registers = {
+                    name: final.reshape(-1) for name, final in blocks[0].items()
+                }
+            else:
+                registers = {
+                    name: np.concatenate([block[name].reshape(-1) for block in blocks])
+                    for name in blocks[0]
+                }
+            outputs = {name: registers[name] for name in shard_results[0].outputs}
         return HierarchicalExecutionResult(
             outputs=outputs,
             trace=merged_trace,

@@ -291,9 +291,10 @@ def _pin_store(trace: Any) -> dict[str, Any]:
     """The dict observability results are memoized in for ``trace``.
 
     Traces realized from a :class:`~repro.controller.executor.TraceTemplate`
-    carry ``_obs_pins`` — a reference to the template's own ``__dict__`` —
-    so every realization of one program structure shares a single memo;
-    free-standing traces memoize on themselves.
+    carry ``_obs_pins`` — a reference to the template's own pin dict, which
+    the template also carries — so the template and every realization of
+    one program structure share a single memo; free-standing traces
+    memoize on themselves.
     """
 
     store: dict[str, Any] | None = trace.__dict__.get("_obs_pins")

@@ -171,8 +171,16 @@ class PlannerReport:
         )
 
     def with_measured(self, makespan_ns: float) -> "PlannerReport":
-        """This report with the measured makespan attached."""
-        return replace(self, measured_makespan_ns=makespan_ns)
+        """This report with the measured makespan attached.
+
+        Plan-memo hits share one report, and a warm structure's modelled
+        makespan repeats exactly, so the last such copy is reused.
+        """
+        last = self.__dict__.get("_measured")
+        if last is None or last.measured_makespan_ns != makespan_ns:
+            last = replace(self, measured_makespan_ns=makespan_ns)
+            self.__dict__["_measured"] = last
+        return last
 
 
 @dataclass(frozen=True)
@@ -511,10 +519,13 @@ def plan_program(
         )
         cached = _PLAN_MEMO.get(memo_key)
         if cached is not None:
-            return PlannedExecution(
-                plan=cached.plan,
-                report=replace(cached.report, cached=True),
-            )
+            if not cached.report.cached:
+                # Flag the memoized report once; later hits share it.
+                cached = PlannedExecution(
+                    plan=cached.plan, report=replace(cached.report, cached=True)
+                )
+                _PLAN_MEMO.put(memo_key, cached)
+            return cached
     else:
         _PLAN_MEMO.note_uncached()
 

@@ -205,8 +205,12 @@ class Executors:
     executor (the dispatcher's channel/rank placement), so a caller
     that keeps one instance reuses LUT gather arrays, trace templates
     and scheduler memos across requests.  Backend names share an
-    executor; distinct backend instances each get their own.
+    executor; distinct backend instances each get their own, up to a
+    bound past which the set starts over.
     """
+
+    #: Executors kept before the set is rebuilt from scratch.
+    MAX_WARM = 64
 
     def __init__(self, engine: "PlutoEngine | None" = None) -> None:
         from repro.core.engine import PlutoConfig, PlutoEngine
@@ -214,9 +218,25 @@ class Executors:
         self.engine = engine if engine is not None else PlutoEngine(PlutoConfig())
         self._warm: dict[tuple[object, ...], object] = {}
 
+    @classmethod
+    def of(cls, engine: "PlutoEngine") -> "Executors":
+        """The warm executors ``engine`` itself holds, built on first use.
+
+        Held by the engine, so a front door that runs many requests on
+        one engine reuses one controller and one dispatcher per
+        placement, and nothing but the engine keeps them (or it) alive:
+        engine and executors form one cycle the collector frees together.
+        """
+        warm = engine.__dict__.get("_executors")
+        if warm is None:
+            warm = engine.__dict__["_executors"] = cls(engine)
+        return cast(Executors, warm)
+
     def _get(self, key: tuple[object, ...], build: Callable[[], _Executor]) -> _Executor:
         found = self._warm.get(key)
         if found is None:
+            if len(self._warm) >= self.MAX_WARM:
+                self._warm.clear()
             found = self._warm[key] = build()
         return cast(_Executor, found)
 

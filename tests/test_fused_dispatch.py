@@ -9,6 +9,9 @@ per-shard bit-exactness oracle.
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,8 +25,10 @@ from repro.controller.executor import (
 from repro.controller.hierarchy import HierarchicalDispatcher, HierarchyPlanner
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
+from repro.dram.commands import CommandTrace
 from repro.dram.geometry import DRAMGeometry
 from repro.errors import ConfigurationError, ExecutionError
+from repro.obs.metrics import command_counts, request_accounting
 
 ELEMENTS = 640
 
@@ -73,6 +78,9 @@ def _assert_same_results(fused, loop):
         ] == [(cmd.kind, cmd.bank, cmd.rows) for cmd in shard_loop.trace.commands]
     for name, data in loop.outputs.items():
         assert np.array_equal(fused.outputs[name], data), name
+    assert fused.registers.keys() == loop.registers.keys()
+    for name, data in loop.registers.items():
+        assert np.array_equal(fused.registers[name], data), name
     assert fused.makespan_ns == loop.makespan_ns
     assert fused.serial_latency_ns == loop.serial_latency_ns
 
@@ -120,17 +128,22 @@ class TestFusedParallelDispatch:
             )
 
     def test_uneven_shards_group_by_size(self):
-        """29 elements over 6 shards: two size groups, outputs intact."""
+        """29 elements over 6 shards: two size groups, results intact."""
         session, inputs = _mixed_program(29)
         engine = PlutoEngine(PlutoConfig())
         reference = session.run(inputs, engine=engine)
         fused = HierarchicalDispatcher(engine, fused=True).execute(
             session.calls, inputs, shards=6
         )
+        loop = HierarchicalDispatcher(engine, fused=False).execute(
+            session.calls, inputs, shards=6
+        )
         sizes = {plan.size for plan in fused.shards}
         assert sizes == {4, 5}
         for name, data in reference.outputs.items():
             assert np.array_equal(fused.outputs[name], data), name
+        # Registers, per-shard results and (kind, bank, rows) traces too.
+        _assert_same_results(fused, loop)
 
 
 class TestFusedHierarchicalDispatch:
@@ -202,6 +215,63 @@ class TestExecuteFused:
         second = trace_template_stats()
         assert second["hits"] > first["hits"]
         assert second["misses"] == first["misses"]
+
+
+class TestTraceTemplateRealize:
+    def test_every_bank_matches_rewritten_commands(self):
+        session, _ = _mixed_program(32)
+        engine = PlutoEngine(PlutoConfig())
+        controller = PlutoController(engine, backend="vectorized")
+        template = controller.trace_template(compile_cached(session.calls))
+        timing, energy = engine.timing, engine.energy
+        for bank in range(engine.geometry.banks):
+            trace = template.realize(timing, energy, bank=bank)
+            assert trace.commands == [
+                replace(command, bank=bank) for command in template.commands
+            ]
+            assert trace.total_latency_ns == template.total_latency_ns
+            assert trace.total_energy_nj == template.total_energy_nj
+            again = template.realize(timing, energy, bank=bank)
+            assert again.commands == trace.commands
+            assert again.commands is not trace.commands
+            # A caller editing one realization leaves the next intact.
+            trace.commands.clear()
+            assert template.realize(timing, energy, bank=bank).commands == (
+                again.commands
+            )
+
+    def test_accounting_unchanged_on_realized_traces(self):
+        session, _ = _mixed_program(32)
+        engine = PlutoEngine(PlutoConfig())
+        controller = PlutoController(engine, backend="vectorized")
+        template = controller.trace_template(compile_cached(session.calls))
+        for bank in (0, 3, 3, 7):
+            realized = template.realize(engine.timing, engine.energy, bank=bank)
+            standalone = CommandTrace(
+                timing=engine.timing,
+                energy=engine.energy,
+                commands=list(realized.commands),
+                total_latency_ns=realized.total_latency_ns,
+                total_energy_nj=realized.total_energy_nj,
+            )
+            assert command_counts(realized) == command_counts(standalone)
+            assert request_accounting(realized) == request_accounting(standalone)
+
+    def test_pickled_template_drops_bank_placements(self):
+        session, _ = _mixed_program(32)
+        engine = PlutoEngine(PlutoConfig())
+        template = PlutoController(engine).trace_template(
+            compile_cached(session.calls)
+        )
+        stored = len(pickle.dumps(template))
+        for bank in range(4):
+            template.realize(engine.timing, engine.energy, bank=bank)
+        assert len(pickle.dumps(template)) == stored
+        restored = pickle.loads(pickle.dumps(template))
+        assert restored == template
+        assert restored.realize(engine.timing, engine.energy, bank=5).commands == [
+            replace(command, bank=5) for command in template.commands
+        ]
 
 
 class TestPlannerSharing:

@@ -160,6 +160,14 @@ class TestDifferential:
         unknown = dict(inputs, ghost=np.zeros(16, dtype=np.uint64))
         with pytest.raises(ExecutionError):
             dispatcher.execute(session.calls, unknown, shards=2)
+        # Slices are reshaped views of the element array: a 2-D input of
+        # the right size is refused, not reinterpreted.
+        for fused in (None, False):
+            reshaped = dict(inputs, a=np.asarray(inputs["a"]).reshape(4, 4))
+            with pytest.raises(ExecutionError, match="one-dimensional"):
+                HierarchicalDispatcher(fused=fused).execute(
+                    session.calls, reshaped, shards=2
+                )
 
     def test_makespan_improves_with_shards(self):
         # 32768 elements: the add's merged 8-bit index register spans four
@@ -238,6 +246,52 @@ class TestSessionSurface:
         assert sharded.parallel_speedup > 1.0
         with pytest.raises(ConfigurationError):
             session.run(inputs, plan=ExecutionPlan(shards=0))
+
+    def test_repeated_runs_reuse_one_dispatcher(self, monkeypatch):
+        """Warm executors: one dispatcher per session, results bit-identical."""
+        session, inputs = _program()
+        built = []
+        original = HierarchicalDispatcher.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(HierarchicalDispatcher, "__init__", counting)
+        plan = ExecutionPlan(shards=8)
+        first = session.run(inputs, plan=plan)
+        for _ in range(4):
+            again = session.run(inputs, plan=plan)
+            for name, data in first.registers.items():
+                assert np.array_equal(again.registers[name], data), name
+            assert again.latency_ns == first.latency_ns
+            assert again.energy_nj == first.energy_nj
+            assert [
+                (command.kind, command.bank, command.rows)
+                for command in again.trace.commands
+            ] == [
+                (command.kind, command.bank, command.rows)
+                for command in first.trace.commands
+            ]
+        assert len(built) == 1
+        # A caller's engine gets its own warm dispatcher, once.
+        engine = PlutoEngine(PlutoConfig())
+        for _ in range(3):
+            session.run(inputs, engine=engine, plan=plan)
+        assert len(built) == 2
+
+    def test_session_keeps_no_caller_engine_alive(self):
+        import gc
+        import weakref
+
+        session, inputs = _program(64)
+        engine = PlutoEngine(PlutoConfig())
+        session.run(inputs, engine=engine, plan=ExecutionPlan(shards=4))
+        session.run_batch([inputs], engine=engine)
+        alive = weakref.ref(engine)
+        del engine
+        gc.collect()
+        assert alive() is None
 
     def test_run_batch_parallel_makespan(self):
         session, inputs = _program(1024)
